@@ -33,15 +33,17 @@ from .client import (
     format_arcinfo,
     parse_execution_targets,
 )
-from .gres import GresList, GresParseError, parse_gres_expression
+from ._text import key_values
+from .gres import GresParseError
 from .infoprovider import BadConfig, BindFailure, SiteConfig, build_computing_service, render_glue2_xml, serve_info
 from .jobsubmit import (
-    GRES_OPTION_PREFIX,
     JobSubmitError,
+    advertised_gres,
     apply_rtes,
     generate_submit_script,
     load_rte_registry,
     match_target,
+    requested_gres,
     write_spool_script,
 )
 from .lrms import (
@@ -86,22 +88,11 @@ def _clock() -> float | None:
 
 
 def _load_config_file(path: Path) -> dict[str, str]:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliInputError(f"cannot read config {path}: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise CliInputError(f"{path}:{lineno}: expected key = value")
-        key = key.strip()
+    for where, key, value in key_values(path, CliInputError):
         if key not in _CONFIG_KEYS:
-            raise CliInputError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value.strip()
+            raise CliInputError(f"{where}: unknown key {key!r}")
+        values[key] = value
     return values
 
 
@@ -214,26 +205,6 @@ def cmd_arcinfo(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _requested_gres(node_properties: tuple[str, ...]) -> GresList:
-    entries = []
-    for prop in node_properties:
-        if prop.startswith(GRES_OPTION_PREFIX):
-            expression = prop.removeprefix(GRES_OPTION_PREFIX)
-            entries.extend(parse_gres_expression(expression).entries)
-    return GresList(tuple(entries))
-
-
-def _advertised_gres(records) -> list[GresList]:
-    advertised = []
-    for record in records:
-        for line in record.manager.general_resources:
-            try:
-                advertised.append(parse_gres_expression(line))
-            except GresParseError:
-                continue  # an unparseable advertisement cannot satisfy anything
-    return advertised
-
-
 def cmd_arcsub(args: argparse.Namespace) -> int:
     settings = _Settings(args)
     try:
@@ -255,8 +226,8 @@ def cmd_arcsub(args: argparse.Namespace) -> int:
         if args.match:
             document = _read_info_document(args.match)
             records = parse_execution_targets(document)
-            requested = _requested_gres(opts.node_properties)
-            if not match_target(requested, _advertised_gres(records)):
+            requested = requested_gres(opts.node_properties)
+            if not match_target(requested, advertised_gres(records)):
                 print(
                     f"grespipe: no advertised target satisfies {requested}",
                     file=sys.stderr,

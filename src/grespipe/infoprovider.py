@@ -1,12 +1,14 @@
 """Computing-service records, GLUE2-style XML rendering, and the info endpoint.
 
-The published document is a minimal skeleton: the element spine
+The published document is a minimal skeleton with a fixed element spine
 
     InfoRoot > Domains > AdminDomain > Services > ComputingService
         > ComputingManager > GeneralResources > Resource*
 
-with an ``id`` attribute on the domain, service and manager elements.  The
-``GeneralResources`` element is emitted even when empty.
+and an ``id`` attribute on the domain, service and manager elements, so it
+is rendered from a fixed line template.  The ``GeneralResources`` element
+is emitted even when empty.  The endpoint takes its snapshots from any
+zero-argument callable returning a :class:`ClusterSnapshot`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import Callable, Mapping, Union
 
 from xml.sax.saxutils import escape, quoteattr
 
-from .lrms import ClusterSnapshot, LrmsBackend
+from ._text import key_values
+from .lrms import ClusterSnapshot
 
 __all__ = [
     "BadConfig",
@@ -29,7 +32,6 @@ __all__ = [
     "ComputingServiceRecord",
     "build_computing_service",
     "render_glue2_xml",
-    "XmlWriter",
     "InfoServer",
     "serve_info",
     "split_bind",
@@ -98,21 +100,8 @@ class SiteConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "SiteConfig":
         """Load ``key = value`` lines; ``#`` comments and blanks are ignored."""
-        path = Path(path)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise BadConfig(f"cannot read config {path}: {exc}") from exc
-        mapping: dict[str, str] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise BadConfig(f"{path}:{lineno}: expected key=value")
-            mapping[key.strip()] = value.strip()
-        return cls.from_mapping(mapping)
+        lines = key_values(Path(path), BadConfig)
+        return cls.from_mapping({key: value for _where, key, value in lines})
 
 
 @dataclass(frozen=True)
@@ -175,45 +164,6 @@ def build_computing_service(
     return record
 
 
-class XmlWriter:
-    """Tiny streaming XML writer: 2-space indent, one element per line."""
-
-    def __init__(self) -> None:
-        self._lines: list[str] = ['<?xml version="1.0" encoding="UTF-8"?>']
-        self._stack: list[str] = []
-
-    def _indent(self) -> str:
-        return "  " * len(self._stack)
-
-    @staticmethod
-    def _tag_with_attrs(tag: str, attrs: dict[str, str]) -> str:
-        rendered = "".join(f" {name}={quoteattr(value)}" for name, value in attrs.items())
-        return f"{tag}{rendered}"
-
-    def begin(self, tag: str, **attrs: str) -> None:
-        self._lines.append(f"{self._indent()}<{self._tag_with_attrs(tag, attrs)}>")
-        self._stack.append(tag)
-
-    def end(self, tag: str) -> None:
-        if not self._stack or self._stack[-1] != tag:
-            raise ValueError(f"unbalanced end of {tag!r}")
-        self._stack.pop()
-        self._lines.append(f"{self._indent()}</{tag}>")
-
-    def element(self, tag: str, text: str, **attrs: str) -> None:
-        """Leaf element with inline, escaped text content."""
-        opening = self._tag_with_attrs(tag, attrs)
-        self._lines.append(f"{self._indent()}<{opening}>{escape(text)}</{tag}>")
-
-    def empty(self, tag: str, **attrs: str) -> None:
-        self._lines.append(f"{self._indent()}<{self._tag_with_attrs(tag, attrs)}/>")
-
-    def document(self) -> str:
-        if self._stack:
-            raise ValueError(f"unclosed elements: {self._stack}")
-        return "\n".join(self._lines) + "\n"
-
-
 def render_glue2_xml(record: ComputingServiceRecord) -> str:
     """Render the service record as the GLUE2-style skeleton document.
 
@@ -222,30 +172,32 @@ def render_glue2_xml(record: ComputingServiceRecord) -> str:
     resources.  Text content is XML-escaped.
     """
     record.validate()
-    writer = XmlWriter()
-    writer.begin("InfoRoot")
-    writer.begin("Domains")
-    writer.begin("AdminDomain", id=record.admin_domain)
-    writer.begin("Services")
-    writer.begin("ComputingService", id=record.service_id)
-    writer.begin("ComputingManager", id=record.manager.manager_name)
-    if record.manager.general_resources:
-        writer.begin("GeneralResources")
-        for resource in record.manager.general_resources:
-            writer.element("Resource", resource)
-        writer.end("GeneralResources")
+    resources = record.manager.general_resources
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        "<InfoRoot>",
+        "  <Domains>",
+        f"    <AdminDomain id={quoteattr(record.admin_domain)}>",
+        "      <Services>",
+        f"        <ComputingService id={quoteattr(record.service_id)}>",
+        f"          <ComputingManager id={quoteattr(record.manager.manager_name)}>",
+    ]
+    if resources:
+        lines.append("            <GeneralResources>")
+        lines.extend(f"              <Resource>{escape(resource)}</Resource>" for resource in resources)
+        lines.append("            </GeneralResources>")
     else:
-        writer.empty("GeneralResources")
-    writer.end("ComputingManager")
-    writer.end("ComputingService")
-    writer.end("Services")
-    writer.end("AdminDomain")
-    writer.end("Domains")
-    writer.end("InfoRoot")
-    return writer.document()
-
-
-SnapshotSource = Union[LrmsBackend, Callable[[], ClusterSnapshot]]
+        lines.append("            <GeneralResources/>")
+    lines += [
+        "          </ComputingManager>",
+        "        </ComputingService>",
+        "      </Services>",
+        "    </AdminDomain>",
+        "  </Domains>",
+        "</InfoRoot>",
+        "",
+    ]
+    return "\n".join(lines)
 
 
 class _InfoRequestHandler(BaseHTTPRequestHandler):
@@ -278,11 +230,8 @@ class InfoServer:
     of two snapshots and handlers never block on collection.
     """
 
-    def __init__(self, record_source: SnapshotSource, config: SiteConfig):
-        if isinstance(record_source, LrmsBackend):
-            self._collect: Callable[[], ClusterSnapshot] = record_source.collect
-        else:
-            self._collect = record_source
+    def __init__(self, record_source: Callable[[], ClusterSnapshot], config: SiteConfig):
+        self._collect = record_source
         self._config = config
         self._httpd: ThreadingHTTPServer | None = None
         self._threads: list[threading.Thread] = []
@@ -344,7 +293,7 @@ class InfoServer:
         self.stop()
 
 
-def serve_info(record_source: SnapshotSource, endpoint_config: SiteConfig) -> InfoServer:
+def serve_info(record_source: Callable[[], ClusterSnapshot], endpoint_config: SiteConfig) -> InfoServer:
     """Start the info endpoint and return the running server handle.
 
     Raises :class:`BindFailure` when the configured address cannot be bound.

@@ -3,8 +3,8 @@
 A runtime environment (RTE) is a declarative manifest naming raw batch
 options; applying RTEs to a job accumulates those options as numbered node
 properties, which the script generator turns into ``#SBATCH`` directive
-lines.  Matchmaking checks a ``--gres`` request against the resource lists a
-target advertises.
+lines.  Matchmaking checks the ``--gres=`` request a job's node properties
+carry against the resource lists a target advertises.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .gres import GresEntry, GresList
+from ._text import key_values
+from .gres import GresEntry, GresList, GresParseError, parse_gres_expression
+from .infoprovider import ComputingServiceRecord
 from .xrsl import JobDescription
 
 __all__ = [
@@ -31,6 +33,8 @@ __all__ = [
     "load_rte_registry",
     "apply_rtes",
     "generate_submit_script",
+    "requested_gres",
+    "advertised_gres",
     "match_target",
     "write_spool_script",
 ]
@@ -107,29 +111,17 @@ def load_rte_manifest(path: str | Path) -> RteManifest:
     once per option; ``#`` comments and blank lines are ignored.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise RteManifestError(f"cannot read manifest {path}: {exc}") from exc
     name: str | None = None
     properties: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise RteManifestError(f"{path}:{lineno}: expected key = value")
-        key = key.strip()
-        value = value.strip()
+    for where, key, value in key_values(path, RteManifestError):
         if key == "name":
             name = value
         elif key == "node_properties":
             if not value:
-                raise RteManifestError(f"{path}:{lineno}: empty node property")
+                raise RteManifestError(f"{where}: empty node property")
             properties.append(value)
         else:
-            raise RteManifestError(f"{path}:{lineno}: unknown key {key!r}")
+            raise RteManifestError(f"{where}: unknown key {key!r}")
     if not name:
         raise RteManifestError(f"{path}: manifest declares no name")
     try:
@@ -183,6 +175,28 @@ def generate_submit_script(opts: JobOptions) -> SubmitScript:
     directives.extend(f"#SBATCH {prop}" for prop in opts.node_properties)
     payload = " ".join(shlex.quote(token) for token in (job.executable, *job.arguments))
     return SubmitScript(tuple(directives), payload)
+
+
+def requested_gres(node_properties: Iterable[str]) -> GresList:
+    """The entries of every ``--gres=`` node property, concatenated in order."""
+    entries = []
+    for prop in node_properties:
+        if prop.startswith(GRES_OPTION_PREFIX):
+            expression = prop.removeprefix(GRES_OPTION_PREFIX)
+            entries.extend(parse_gres_expression(expression).entries)
+    return GresList(tuple(entries))
+
+
+def advertised_gres(records: Iterable[ComputingServiceRecord]) -> list[GresList]:
+    """Parse every resource line the records advertise, in document order."""
+    advertised = []
+    for record in records:
+        for line in record.manager.general_resources:
+            try:
+                advertised.append(parse_gres_expression(line))
+            except GresParseError:
+                continue  # an unparseable advertisement cannot satisfy anything
+    return advertised
 
 
 def match_target(requested: GresList, advertised: Iterable[GresList]) -> bool:

@@ -5,8 +5,9 @@ fixture describes node classes and their general-resource lines, a query
 renders them the way ``sinfo -a -h -o "gresinfo=%G"`` would, and collection
 extracts the GRES strings while discarding ``(null)`` lines.
 
-An exec-based backend that shells out to a real ``sinfo`` is provided behind
-the same interface for deployment parity.
+Snapshot sources are zero-argument callables returning a
+:class:`ClusterSnapshot`; :class:`SlurmExecBackend` is one that shells out
+to a real ``sinfo`` for deployment parity.
 """
 
 from __future__ import annotations
@@ -14,17 +15,16 @@ from __future__ import annotations
 import subprocess
 import threading
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._text import content_lines
 from .gres import GresParseError, parse_gres_expression
 
 __all__ = [
     "NULL_TOKEN",
     "SINFO_FORMAT",
     "NodeClass",
-    "ClusterTotals",
     "ClusterFixture",
     "ClusterSnapshot",
     "LrmsError",
@@ -34,7 +34,6 @@ __all__ = [
     "sinfo_query",
     "read_gres_info",
     "collect_cluster_info",
-    "LrmsBackend",
     "SlurmFixtureBackend",
     "SlurmExecBackend",
 ]
@@ -42,6 +41,8 @@ __all__ = [
 NULL_TOKEN = "(null)"
 SINFO_FORMAT = "gresinfo=%G"
 SINFO_ARGS = ("-a", "-h", "-o", SINFO_FORMAT)
+# A hung sinfo must not stall the refresher for good.
+SINFO_TIMEOUT_SECONDS = 30.0
 
 
 class LrmsError(Exception):
@@ -66,18 +67,9 @@ class NodeClass:
 
 
 @dataclass(frozen=True)
-class ClusterTotals:
-    """Optional fixture bookkeeping; not consumed by the pipeline."""
-
-    total_nodes: int
-    total_cpus: int
-
-
-@dataclass(frozen=True)
 class ClusterFixture:
     cluster_name: str
     node_classes: tuple[NodeClass, ...]
-    totals: ClusterTotals | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "node_classes", tuple(self.node_classes))
@@ -136,23 +128,16 @@ def load_fixture(path: str | Path, cluster_name: str | None = None) -> ClusterFi
     file's stem.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InvalidFixture(f"cannot read fixture {path}: {exc}") from exc
     node_classes = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for where, line in content_lines(path, InvalidFixture):
         fields = line.split("|", 2)
         if len(fields) != 3:
-            raise InvalidFixture(f"{path}:{lineno}: expected partition|node_count|gres_line")
+            raise InvalidFixture(f"{where}: expected partition|node_count|gres_line")
         partition, count_text, gres_line = (field.strip() for field in fields)
         try:
             node_count = int(count_text)
         except ValueError as exc:
-            raise InvalidFixture(f"{path}:{lineno}: bad node count {count_text!r}") from exc
+            raise InvalidFixture(f"{where}: bad node count {count_text!r}") from exc
         node_classes.append(NodeClass(partition, node_count, gres_line))
     fixture = ClusterFixture(cluster_name or path.stem, tuple(node_classes))
     fixture.validate()
@@ -207,16 +192,8 @@ def collect_cluster_info(fixture: ClusterFixture, now: float | None = None) -> C
     return ClusterSnapshot(fixture.cluster_name, gres, timestamp)
 
 
-class LrmsBackend(ABC):
-    """Seam for LRMS flavours; the SLURM emulation is the built-in one."""
-
-    @abstractmethod
-    def collect(self) -> ClusterSnapshot:
-        """Query the LRMS and return a fresh snapshot."""
-
-
-class SlurmFixtureBackend(LrmsBackend):
-    """SLURM emulation driven by an in-memory :class:`ClusterFixture`."""
+class SlurmFixtureBackend:
+    """Snapshot source driven by an in-memory :class:`ClusterFixture`."""
 
     def __init__(self, fixture: ClusterFixture):
         self.fixture = fixture
@@ -224,14 +201,17 @@ class SlurmFixtureBackend(LrmsBackend):
     def collect(self) -> ClusterSnapshot:
         return collect_cluster_info(self.fixture)
 
+    __call__ = collect
 
-class SlurmExecBackend(LrmsBackend):
-    """Backend that runs a real ``sinfo -a -h -o "gresinfo=%G"``.
 
-    External process invocations are serialized.  Lines yielding an empty
-    value are skipped defensively (a live scheduler reports ``(null)`` for
-    resource-less nodes, but an empty field would violate the snapshot
-    contract).
+class SlurmExecBackend:
+    """Snapshot source that runs a real ``sinfo -a -h -o "gresinfo=%G"``.
+
+    External process invocations are serialized, and one that outlives
+    :data:`SINFO_TIMEOUT_SECONDS` is killed and reported as
+    :class:`LrmsError`.  Lines yielding an empty value are skipped
+    defensively (a live scheduler reports ``(null)`` for resource-less
+    nodes, but an empty field would violate the snapshot contract).
     """
 
     def __init__(self, cluster_name: str, sinfo_path: str = "sinfo"):
@@ -247,9 +227,12 @@ class SlurmExecBackend(LrmsBackend):
                     capture_output=True,
                     text=True,
                     check=False,
+                    timeout=SINFO_TIMEOUT_SECONDS,
                 )
             except OSError as exc:
                 raise LrmsError(f"cannot run {self.sinfo_path}: {exc}") from exc
+            except subprocess.TimeoutExpired as exc:
+                raise LrmsError(f"{self.sinfo_path} timed out after {exc.timeout} s") from exc
         if proc.returncode != 0:
             raise LrmsError(
                 f"{self.sinfo_path} exited {proc.returncode}: {proc.stderr.strip()}"
@@ -257,3 +240,5 @@ class SlurmExecBackend(LrmsBackend):
         lines = [line for line in proc.stdout.splitlines() if line.strip()]
         gres = [value for value in _extract_gres(lines) if value]
         return ClusterSnapshot(self.cluster_name, tuple(gres), int(time.time()))
+
+    __call__ = collect

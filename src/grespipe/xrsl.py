@@ -5,8 +5,9 @@ Only the conjunction form is supported:
     &(executable="hello.sh")(jobName="gpu-hello")(runTimeEnvironment="KGPU6")
 
 Attribute values are double-quoted strings or bare words; ``(* ... *)``
-comments are skipped.  Recognized attributes: executable, arguments, jobName,
-count, runTimeEnvironment, stdout, stderr (case-insensitive).  Repeated
+comments are skipped between tokens and are plain text inside a quoted
+string.  Recognized attributes: executable, arguments, jobName, count,
+runTimeEnvironment, stdout, stderr (case-insensitive).  Repeated
 runTimeEnvironment attributes accumulate in order; unknown attributes are
 ignored with an :class:`UnknownAttributeWarning`.
 """
@@ -26,7 +27,6 @@ __all__ = [
     "parse_xrsl",
 ]
 
-_COMMENT_RE = re.compile(r"\(\*.*?\*\)", re.DOTALL)
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _BARE_WORD_END = set(' \t\r\n()"=')
 
@@ -70,23 +70,23 @@ class JobDescription:
             raise ValueError("count must be at least 1")
 
 
-def _strip_comments(text: str) -> str:
-    # Replace comments with same-length blanks so error offsets stay valid.
-    stripped = _COMMENT_RE.sub(lambda match: " " * len(match.group()), text)
-    leftover = stripped.find("(*")
-    if leftover != -1:
-        raise XrslSyntaxError("unterminated comment", leftover)
-    return stripped
-
-
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        """Skip whitespace and ``(* ... *)`` comments."""
+        while self.pos < len(self.text):
+            if self.text[self.pos].isspace():
+                self.pos += 1
+            elif self.text.startswith("(*", self.pos):
+                closing = self.text.find("*)", self.pos + 2)
+                if closing == -1:
+                    raise XrslSyntaxError("unterminated comment", self.pos)
+                self.pos = closing + 2
+            else:
+                return
 
     def at_end(self) -> bool:
         return self.pos >= len(self.text)
@@ -172,7 +172,7 @@ def parse_xrsl(text: str) -> JobDescription:
         "stdout_name": None,
         "stderr_name": None,
     }
-    for name, values, position in _read_clauses(_strip_comments(text)):
+    for name, values, position in _read_clauses(text):
         key = name.lower()
         if key == "executable":
             fields["executable"] = _single(name, values, position)

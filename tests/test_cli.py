@@ -1,20 +1,26 @@
 """Tests for the command-line drivers and their exit-code contract."""
 
 import dataclasses
+import os
 import signal
 import socket
 import subprocess
 import sys
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import grespipe
 from grespipe import data
 from grespipe.cli import EXIT_ENV, EXIT_INPUT, EXIT_OK, EXIT_REFUSED, main
 from grespipe.infoprovider import SiteConfig, build_computing_service, render_glue2_xml, serve_info
 from grespipe.lrms import SlurmFixtureBackend, collect_cluster_info, load_fixture
 
 from conftest import PREFIXED_LINES, RESOURCE_LINES, SINFO_BARE_LINES
+
+# Byte-exact outputs of the shipped samples, shared with the benchmark.
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
 class TestMockSinfo:
@@ -45,6 +51,18 @@ class TestMockSinfo:
         config.write_text(f"fixture = {fixture}\n")
         assert main(["mock-sinfo", "--bare", "--config", str(config)]) == EXIT_OK
         assert capsys.readouterr().out.splitlines() == ["gpu:9"]
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "fixture /no/equals/sign\n", "colour = blue\n"],
+        ids=["missing", "no-equals", "unknown-key"],
+    )
+    def test_bad_config_file(self, tmp_path, capsys, content):
+        config = tmp_path / "cli.conf"
+        if content is not None:
+            config.write_text(content)
+        assert main(["mock-sinfo", "--config", str(config)]) == EXIT_INPUT
+        assert str(config) in capsys.readouterr().err
 
     def test_flag_beats_env(self, tmp_path, capsys, monkeypatch):
         flagged = tmp_path / "flag.fixture"
@@ -86,11 +104,15 @@ class TestInfoprovider:
             blocker.close()
 
     def test_serve_shuts_down_cleanly_on_sigint(self):
+        # The child imports the same grespipe as this suite, installed or not.
+        src = str(Path(grespipe.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "grespipe", "infoprovider", "--serve", "--bind", "127.0.0.1:0"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         try:
             line = proc.stdout.readline().strip()
@@ -316,3 +338,26 @@ def test_full_walkthrough(tmp_path, capsys, kebnekaise_fixture, site_config):
         job_id, _ = capsys.readouterr().out.split()
         script = (tmp_path / "spool" / f"{job_id}.sbatch").read_text()
         assert "#SBATCH --gres=gpu:v100:2" in script
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["mock-sinfo", "--bare"], "mock-sinfo-bare.out"),
+        (["infoprovider"], "infoprovider.out"),
+        (["arcinfo", str(GOLDEN / "infoprovider.out")], "arcinfo.out"),
+    ],
+)
+def test_sample_outputs_match_goldens(argv, golden, capsys):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+def test_arcsub_sample_matches_goldens(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GRESPIPE_NOW", "1754700000")
+    spool = tmp_path / "spool"
+    assert main(["arcsub", str(data.HELLO_XRSL), "--spool-dir", str(spool)]) == EXIT_OK
+    expected = (GOLDEN / "arcsub.out").read_bytes().replace(b"{spool}", str(spool).encode("utf-8"))
+    assert capsys.readouterr().out.encode("utf-8") == expected
+    [script] = spool.glob("*.sbatch")
+    assert script.read_bytes() == (GOLDEN / "arcsub.sbatch").read_bytes()

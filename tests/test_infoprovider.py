@@ -72,6 +72,8 @@ class TestSiteConfig:
         path.write_text("admin_domain x\n")
         with pytest.raises(BadConfig):
             SiteConfig.from_file(path)
+        with pytest.raises(BadConfig):
+            SiteConfig.from_file(tmp_path / "missing.conf")
 
 
 class TestBuildComputingService:
@@ -115,6 +117,23 @@ class TestRenderXml:
         root = ElementTree.fromstring(render_glue2_xml(record))
         assert root.find("Domains/AdminDomain").get("id") == "hpc2n.umu.se"
         assert root.find(f"{SPINE}").get("id") == "slurm"
+
+    @pytest.mark.parametrize(
+        "value, quoted",
+        [
+            ('say "hi"', "'say \"hi\"'"),
+            ("it's", "\"it's\""),
+            ("both \"' kinds", "\"both &quot;' kinds\""),
+            ("a&b<c>", '"a&amp;b&lt;c&gt;"'),
+            ("tab\there", '"tab&#9;here"'),
+        ],
+    )
+    def test_id_attribute_quoting(self, value, quoted):
+        record = ComputingServiceRecord(value, value, ComputingManagerRecord(value, ("gpu:1",)))
+        document = render_glue2_xml(record)
+        for tag in ("AdminDomain", "ComputingService", "ComputingManager"):
+            assert f"<{tag} id={quoted}>" in document
+        assert ElementTree.fromstring(document).find(SPINE).get("id") == value
 
     def test_invalid_record_rejected(self):
         record = ComputingServiceRecord("a", "", ComputingManagerRecord("slurm"))

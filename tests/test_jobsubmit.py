@@ -59,6 +59,9 @@ class TestManifests:
         path.write_text("name = X\ncolor = blue\n")
         with pytest.raises(RteManifestError):
             load_rte_manifest(path)
+        path.write_text("name = X\nnode_properties --exclusive\n")  # no '='
+        with pytest.raises(RteManifestError):
+            load_rte_manifest(path)
 
     def test_empty_property(self, tmp_path):
         path = tmp_path / "bad.rte"

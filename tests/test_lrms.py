@@ -1,9 +1,11 @@
-"""Tests for the fixture-driven SLURM emulation and the backend seam."""
+"""Tests for the fixture-driven SLURM emulation and the snapshot sources."""
 
 import random
+import time
 
 import pytest
 
+from grespipe import lrms
 from grespipe.gres import parse_gres_expression
 from grespipe.lrms import (
     SINFO_FORMAT,
@@ -167,6 +169,17 @@ class TestBackends:
     def test_exec_backend_missing_binary(self, tmp_path):
         with pytest.raises(LrmsError):
             SlurmExecBackend("x", sinfo_path=str(tmp_path / "missing")).collect()
+
+    def test_exec_backend_hung_sinfo_times_out(self, tmp_path, monkeypatch):
+        # exec, so that killing the script kills the sleep holding the pipes
+        script = tmp_path / "hung_sinfo"
+        script.write_text("#!/bin/sh\nexec sleep 30\n")
+        script.chmod(0o755)
+        monkeypatch.setattr(lrms, "SINFO_TIMEOUT_SECONDS", 0.5)
+        started = time.monotonic()
+        with pytest.raises(LrmsError):
+            SlurmExecBackend("x", sinfo_path=str(script)).collect()
+        assert time.monotonic() - started < 10
 
 
 def test_random_fixtures_invariants():

@@ -1,7 +1,7 @@
 """Tests for the minimal XRSL parser."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from grespipe.xrsl import (
@@ -160,5 +160,7 @@ def job_descriptions(draw):
 
 
 @given(job_descriptions())
+@example(JobDescription("(*"))
+@example(JobDescription("a(*b*)c"))
 def test_parse_render_round_trip(job):
     assert parse_xrsl(render_xrsl(job)) == job
