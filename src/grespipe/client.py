@@ -19,12 +19,15 @@ __all__ = [
     "Unreachable",
     "BadStatus",
     "BadContentType",
+    "DocumentTooLarge",
     "parse_execution_targets",
     "format_arcinfo",
     "fetch_info",
 ]
 
 _XML_MIME_TYPES = ("application/xml", "text/xml")
+# A body above this many bytes is refused rather than held in memory.
+MAX_DOCUMENT_BYTES = 64 * 1024 * 1024
 
 
 class ClientError(Exception):
@@ -57,6 +60,10 @@ class BadStatus(FetchError):
 
 class BadContentType(FetchError):
     """The endpoint answered with a non-XML content type."""
+
+
+class DocumentTooLarge(FetchError):
+    """The endpoint answered with a body above :data:`MAX_DOCUMENT_BYTES`."""
 
 
 def parse_execution_targets(xml_text: str) -> list[ComputingServiceRecord]:
@@ -144,8 +151,10 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
     """Fetch an info document over plain HTTP and return its body.
 
     Raises :class:`Unreachable` on connection failure, :class:`BadStatus`
-    on a non-200 answer and :class:`BadContentType` when the response is
-    not XML.
+    on a non-200 answer, :class:`BadContentType` when the response is not
+    XML, :class:`DocumentTooLarge` when the body exceeds
+    :data:`MAX_DOCUMENT_BYTES` and :class:`FetchError` when the body ends
+    before its ``Content-Length``.
     """
     scheme = urllib.parse.urlsplit(url).scheme
     if scheme != "http":
@@ -155,13 +164,18 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
         with urllib.request.urlopen(request, timeout=timeout) as response:
             status = response.status
             content_type = response.headers.get("Content-Type", "")
-            body = response.read()
+            body = response.read(MAX_DOCUMENT_BYTES + 1)
+            missing = response.length  # bytes the Content-Length promised but never came
     except urllib.error.HTTPError as exc:
         raise BadStatus(exc.code) from exc
     except (urllib.error.URLError, OSError) as exc:
         raise Unreachable(f"cannot reach {url}: {exc}") from exc
     if status != 200:
         raise BadStatus(status)
+    if len(body) > MAX_DOCUMENT_BYTES:
+        raise DocumentTooLarge(f"{url}: document exceeds {MAX_DOCUMENT_BYTES} bytes")
+    if missing:
+        raise FetchError(f"{url}: body ended after {len(body)} of {len(body) + missing} bytes")
     mime = content_type.split(";", 1)[0].strip().lower()
     if mime not in _XML_MIME_TYPES and not mime.endswith("+xml"):
         raise BadContentType(f"expected XML, got {content_type!r}")

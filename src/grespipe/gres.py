@@ -64,6 +64,11 @@ def expand_count(literal: str) -> int:
     """
     if not _COUNT_RE.fullmatch(literal):
         raise ValueError(f"not a count literal: {literal!r}")
+    return _count_value(literal)
+
+
+def _count_value(literal: str) -> int:
+    # ``literal`` has already matched _COUNT_RE.
     if literal[-1] in _SUFFIX_RANK:
         return int(literal[:-1]) * 1024 ** _SUFFIX_RANK[literal[-1]]
     return int(literal)
@@ -186,7 +191,7 @@ def parse_gres_expression(text: str) -> GresList:
             literal = tokens[2]
             if not _COUNT_RE.fullmatch(literal):
                 raise MalformedCount(f"bad count {literal!r} in {segment!r}", index)
-        count = expand_count(literal) if literal is not None else 1
+        count = _count_value(literal) if literal is not None else 1
         entries.append(GresEntry(name, subtype, count, literal))
     return GresList(tuple(entries))
 

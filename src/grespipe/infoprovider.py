@@ -13,6 +13,7 @@ zero-argument callable returning a :class:`ClusterSnapshot`.
 
 from __future__ import annotations
 
+import re
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -39,6 +40,7 @@ __all__ = [
 
 _REQUIRED_KEYS = ("admin_domain", "service_id", "manager_name")
 _ALL_KEYS = _REQUIRED_KEYS + ("bind", "refresh_interval_seconds")
+_CONTROL_CHAR_RE = re.compile(r"[\x00-\x1f]")
 
 
 class BadConfig(Exception):
@@ -121,13 +123,12 @@ class ComputingManagerRecord:
     def validate(self) -> None:
         if not self.manager_name:
             raise ValueError("manager_name must be non-empty")
-        for resource in self.general_resources:
-            if not resource:
-                raise ValueError("general_resources must not contain empty strings")
-            if any(ord(ch) < 0x20 for ch in resource):
-                raise ValueError(
-                    f"resource string contains control characters: {resource!r}"
-                )
+        resources = self.general_resources
+        if "" in resources:
+            raise ValueError("general_resources must not contain empty strings")
+        if _CONTROL_CHAR_RE.search("".join(resources)):
+            resource = next(r for r in resources if _CONTROL_CHAR_RE.search(r))
+            raise ValueError(f"resource string contains control characters: {resource!r}")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import subprocess
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from ._text import content_lines
@@ -75,7 +76,15 @@ class ClusterFixture:
         object.__setattr__(self, "node_classes", tuple(self.node_classes))
 
     def validate(self) -> None:
-        """Raise :class:`InvalidFixture` unless the fixture is usable."""
+        """Raise :class:`InvalidFixture` unless the fixture is usable.
+
+        The fixture is immutable, so a check that passed holds for good and
+        is not repeated; a failed check caches nothing and raises again.
+        """
+        self._valid
+
+    @cached_property
+    def _valid(self) -> bool:
         if not self.node_classes:
             raise InvalidFixture("fixture has no node classes")
         for node_class in self.node_classes:
@@ -98,6 +107,7 @@ class ClusterFixture:
                 raise InvalidFixture(
                     f"partition {node_class.partition!r}: bad gres line {line!r}: {exc}"
                 ) from exc
+        return True
 
 
 @dataclass(frozen=True)
@@ -115,9 +125,9 @@ class ClusterSnapshot:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gres", tuple(self.gres))
-        for value in self.gres:
-            if not value or value == NULL_TOKEN:
-                raise ValueError(f"snapshot must not contain {value!r}")
+        if "" in self.gres or NULL_TOKEN in self.gres:
+            value = next(value for value in self.gres if value in ("", NULL_TOKEN))
+            raise ValueError(f"snapshot must not contain {value!r}")
 
 
 def load_fixture(path: str | Path, cluster_name: str | None = None) -> ClusterFixture:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import grespipe
-from grespipe import data
+from grespipe import client, data
 from grespipe.cli import EXIT_ENV, EXIT_INPUT, EXIT_OK, EXIT_REFUSED, main
 from grespipe.infoprovider import SiteConfig, build_computing_service, render_glue2_xml, serve_info
 from grespipe.lrms import SlurmFixtureBackend, collect_cluster_info, load_fixture
@@ -169,6 +169,21 @@ class TestArcinfo:
     def test_missing_file(self, tmp_path):
         assert main(["arcinfo", str(tmp_path / "nope.xml")]) == EXIT_INPUT
 
+    def test_https_url_is_input_error(self, capsys):
+        assert main(["arcinfo", "https://127.0.0.1:1/info"]) == EXIT_INPUT
+        assert "http URL required" in capsys.readouterr().err
+
+    def test_oversized_document_is_input_error(
+        self, capsys, monkeypatch, kebnekaise_fixture, site_config
+    ):
+        monkeypatch.setattr(client, "MAX_DOCUMENT_BYTES", 100)
+        config = dataclasses.replace(site_config, bind="127.0.0.1:0")
+        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), config) as server:
+            assert main(["arcinfo", server.url + "/info"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "exceeds 100 bytes" in captured.err
+        assert captured.out == ""
+
     def test_endpoint_setting_supplies_default_target(
         self, capsys, monkeypatch, kebnekaise_fixture, site_config
     ):
@@ -266,6 +281,21 @@ class TestMatchmakingFlow:
         )
         assert rc == EXIT_OK
         assert list((tmp_path / "spool").glob("*.sbatch"))
+
+    def test_match_https_url_is_input_error(self, tmp_path, capsys):
+        spool = tmp_path / "spool"
+        argv = ["arcsub", str(data.HELLO_XRSL), "--spool-dir", str(spool)]
+        assert main(argv + ["--match", "https://127.0.0.1:1/info"]) == EXIT_INPUT
+        assert "http URL required" in capsys.readouterr().err
+        assert not spool.exists()
+
+    def test_match_oversized_document_is_input_error(self, served, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(client, "MAX_DOCUMENT_BYTES", 100)
+        spool = tmp_path / "spool"
+        argv = ["arcsub", str(data.HELLO_XRSL), "--spool-dir", str(spool), "--match", served]
+        assert main(argv) == EXIT_INPUT
+        assert "exceeds 100 bytes" in capsys.readouterr().err
+        assert not spool.exists()
 
     def test_shipped_kgpu6_subtype_mismatch_refused(self, served, tmp_path):
         # the sample RTE requests "k80" while the cluster advertises "k80ce"

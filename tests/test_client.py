@@ -2,15 +2,19 @@
 
 import dataclasses
 import socket
+import threading
 from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from grespipe import client
 from grespipe.client import (
     BadContentType,
     BadStatus,
+    DocumentTooLarge,
+    FetchError,
     MalformedXml,
     NoServices,
     Unreachable,
@@ -237,6 +241,40 @@ class TestFetchInfo:
         with serve_info(SlurmFixtureBackend(kebnekaise_fixture), config) as server:
             with pytest.raises(BadContentType):
                 fetch_info(server.url + "/healthz")
+
+    def test_document_over_cap_rejected(self, kebnekaise_fixture, site_config, monkeypatch):
+        config = dataclasses.replace(site_config, bind="127.0.0.1:0")
+        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), config) as server:
+            url = server.url + "/info"
+            body = fetch_info(url)
+            size = len(body.encode("utf-8"))
+            monkeypatch.setattr(client, "MAX_DOCUMENT_BYTES", size)
+            assert fetch_info(url) == body
+            monkeypatch.setattr(client, "MAX_DOCUMENT_BYTES", size - 1)
+            with pytest.raises(DocumentTooLarge, match=f"exceeds {size - 1} bytes") as excinfo:
+                fetch_info(url)
+        assert isinstance(excinfo.value, FetchError)
+
+    def test_truncated_body_rejected(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        head = b"HTTP/1.0 200 OK\r\nContent-Type: application/xml\r\nContent-Length: 100\r\n\r\n"
+
+        def answer_short():
+            conn, _addr = listener.accept()
+            with conn:
+                conn.recv(4096)
+                conn.sendall(head + b"<InfoRoot>")
+
+        server = threading.Thread(target=answer_short, daemon=True)
+        server.start()
+        try:
+            port = listener.getsockname()[1]
+            with pytest.raises(FetchError, match="body ended after 10 of 100 bytes"):
+                fetch_info(f"http://127.0.0.1:{port}/info", timeout=5)
+        finally:
+            server.join(timeout=5)
+            listener.close()
+        assert not server.is_alive()
 
     def test_unreachable_port(self):
         probe = socket.socket()

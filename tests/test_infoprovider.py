@@ -9,7 +9,7 @@ import urllib.request
 from xml.etree import ElementTree
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from grespipe.infoprovider import (
@@ -143,6 +143,14 @@ class TestRenderXml:
         with pytest.raises(ValueError):
             render_glue2_xml(record)
 
+    def test_control_characters_rejected_at_build_and_render(self, site_config):
+        snapshot = ClusterSnapshot("c", ("gpu:1", "gpu:\x1f2"), 0)
+        with pytest.raises(ValueError, match="control characters"):
+            build_computing_service(snapshot, site_config)
+        record = ComputingServiceRecord("a", "s", ComputingManagerRecord("slurm", ("gpu:1", "\tgpu")))
+        with pytest.raises(ValueError, match="control characters"):
+            render_glue2_xml(record)
+
     @given(
         st.lists(
             st.text(
@@ -159,6 +167,23 @@ class TestRenderXml:
         )
         document = render_glue2_xml(record)
         assert _resources_of(document) == resources
+
+
+_ASCII_AND_E_ACUTE = st.sampled_from([chr(code) for code in range(0x80)] + ["\u00e9"])
+
+
+@given(st.lists(st.text(alphabet=_ASCII_AND_E_ACUTE, min_size=1, max_size=12), max_size=8))
+@example(["gpu:1", "gpu\x7f"])
+@example(["gpu:1", "gpu\x1f", "\x00"])
+def test_manager_validate_rejects_exactly_control_characters(resources):
+    record = ComputingManagerRecord("slurm", tuple(resources))
+    offenders = [r for r in resources if any(ord(ch) < 0x20 for ch in r)]
+    if not offenders:
+        record.validate()
+        return
+    with pytest.raises(ValueError) as excinfo:
+        record.validate()
+    assert str(excinfo.value) == f"resource string contains control characters: {offenders[0]!r}"
 
 
 def test_pipeline_fidelity_random_fixtures():

@@ -1,6 +1,7 @@
 """Tests for the fixture-driven SLURM emulation and the snapshot sources."""
 
 import random
+import re
 import time
 
 import pytest
@@ -104,6 +105,36 @@ class TestCollect:
             ClusterSnapshot("x", ("(null)",), 0)
         with pytest.raises(ValueError):
             ClusterSnapshot("x", ("",), 0)
+        valid = ("gpu:1", "hbm:16G") * 500
+        for bad in ("(null)", ""):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                ClusterSnapshot("x", valid + (bad,) + valid, 0)
+        with pytest.raises(ValueError, match=re.escape("'(null)'")):
+            ClusterSnapshot("x", valid + ("(null)", "") + valid, 0)
+
+    @pytest.fixture
+    def parse_calls(self, monkeypatch):
+        """Every line lrms hands to the GRES parser, in call order."""
+        calls = []
+
+        def counting_parse(text):
+            calls.append(text)
+            return parse_gres_expression(text)
+
+        monkeypatch.setattr(lrms, "parse_gres_expression", counting_parse)
+        return calls
+
+    def test_valid_fixture_checked_once(self, kebnekaise_fixture, parse_calls):
+        for _ in range(3):
+            assert list(collect_cluster_info(kebnekaise_fixture).gres) == RESOURCE_LINES
+        assert parse_calls == []
+
+    def test_invalid_fixture_rejected_on_every_collect(self, parse_calls):
+        fixture = ClusterFixture("bad", (NodeClass("a", 1, "gpu:1"), NodeClass("b", 1, "gpu:")))
+        for attempt in range(1, 4):
+            with pytest.raises(InvalidFixture, match="bad gres line 'gpu:'"):
+                collect_cluster_info(fixture)
+            assert parse_calls == ["gpu:1", "gpu:"] * attempt
 
 
 class TestLoadFixture:
