@@ -169,8 +169,8 @@ def cmd_infoprovider(args: argparse.Namespace) -> int:
         server = serve_info(SlurmFixtureBackend(fixture), site)
     except BindFailure as exc:
         return _fail(str(exc), EXIT_ENV)
-    print(f"serving on {server.url}", flush=True)
     try:
+        print(f"serving on {server.url}", flush=True)
         while True:
             time.sleep(1)
     except KeyboardInterrupt:
@@ -227,7 +227,7 @@ def cmd_arcsub(args: argparse.Namespace) -> int:
             document = _read_info_document(args.match)
             records = parse_execution_targets(document)
             requested = requested_gres(opts.node_properties)
-            if not match_target(requested, advertised_gres(records)):
+            if not match_target(requested, advertised_gres(records, requested)):
                 print(
                     f"grespipe: no advertised target satisfies {requested}",
                     file=sys.stderr,
@@ -286,9 +286,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CliInputError as exc:
         return _fail(str(exc))
+    except BrokenPipeError:
+        # The reader went away, as under ``| head``: exit quietly.  Point the
+        # descriptor at /dev/null so the flush at interpreter exit cannot
+        # raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ENV
 
 
 if __name__ == "__main__":

@@ -4,7 +4,10 @@ A runtime environment (RTE) is a declarative manifest naming raw batch
 options; applying RTEs to a job accumulates those options as numbered node
 properties, which the script generator turns into ``#SBATCH`` directive
 lines.  Matchmaking checks the ``--gres=`` request a job's node properties
-carry against the resource lists a target advertises.
+carry against the resource lists a target advertises.  It parses only the
+advertised lines that name every requested resource, and only until one
+fits: a parsed entry's name is a substring of its line, so a line missing a
+requested name could never satisfy the request.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import shlex
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from ._text import key_values
 from .gres import GresEntry, GresList, GresParseError, parse_gres_expression
@@ -187,16 +190,32 @@ def requested_gres(node_properties: Iterable[str]) -> GresList:
     return GresList(tuple(entries))
 
 
-def advertised_gres(records: Iterable[ComputingServiceRecord]) -> list[GresList]:
-    """Parse every resource line the records advertise, in document order."""
-    advertised = []
+def advertised_gres(
+    records: Iterable[ComputingServiceRecord], requested: GresList
+) -> Iterator[GresList]:
+    """Lazily parse, in document order, the advertised resource lines that
+    could satisfy ``requested``.
+
+    A parsed entry's name is a substring of the line it came from, so a line
+    that lacks some requested name as a substring cannot satisfy the request.
+    Skipping such lines unparsed is therefore exact: the filter is a
+    necessary condition, and :func:`match_target` gives the same verdict as
+    on every line parsed.  Lines that fail to parse are skipped as well.
+    """
+    names = {want.name for want in requested}
     for record in records:
         for line in record.manager.general_resources:
-            try:
-                advertised.append(parse_gres_expression(line))
-            except GresParseError:
-                continue  # an unparseable advertisement cannot satisfy anything
-    return advertised
+            # A plain loop, not all(<generator>): this runs for every line of
+            # the document, and the generator form costs about 6x as much.
+            for name in names:
+                if name not in line:
+                    break
+            else:
+                try:
+                    parsed = parse_gres_expression(line)
+                except GresParseError:
+                    continue  # an unparseable advertisement cannot satisfy anything
+                yield parsed
 
 
 def match_target(requested: GresList, advertised: Iterable[GresList]) -> bool:

@@ -23,6 +23,14 @@ from conftest import PREFIXED_LINES, RESOURCE_LINES, SINFO_BARE_LINES
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
+def _child_env() -> dict[str, str]:
+    """Environment for a ``python -m grespipe`` child that imports the same
+    grespipe as this suite, installed or not."""
+    src = str(Path(grespipe.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
 class TestMockSinfo:
     def test_bare_emits_listing(self, capsys):
         assert main(["mock-sinfo", "--bare"]) == EXIT_OK
@@ -104,15 +112,12 @@ class TestInfoprovider:
             blocker.close()
 
     def test_serve_shuts_down_cleanly_on_sigint(self):
-        # The child imports the same grespipe as this suite, installed or not.
-        src = str(Path(grespipe.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "grespipe", "infoprovider", "--serve", "--bind", "127.0.0.1:0"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-            env={**os.environ, "PYTHONPATH": pythonpath},
+            env=_child_env(),
         )
         try:
             line = proc.stdout.readline().strip()
@@ -391,3 +396,27 @@ def test_arcsub_sample_matches_goldens(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.encode("utf-8") == expected
     [script] = spool.glob("*.sbatch")
     assert script.read_bytes() == (GOLDEN / "arcsub.sbatch").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["mock-sinfo", "--bare"], ["infoprovider"], ["arcinfo", str(GOLDEN / "infoprovider.out")]],
+)
+def test_closed_stdout_is_env_error_without_traceback(argv):
+    # A pipe whose read end is already closed fails every write with EPIPE,
+    # as when ``| head`` exits early, but without the race.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "grespipe", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == EXIT_ENV

@@ -3,15 +3,25 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from grespipe import data
-from grespipe.gres import GresEntry, GresList, parse_gres_expression
+from grespipe import data, jobsubmit
+from grespipe.client import parse_execution_targets
+from grespipe.gres import GresEntry, GresList, GresParseError, parse_gres_expression
+from grespipe.infoprovider import (
+    ComputingManagerRecord,
+    ComputingServiceRecord,
+    build_computing_service,
+    render_glue2_xml,
+)
 from grespipe.jobsubmit import (
     JobOptions,
     RteManifest,
     RteManifestError,
     SubmitScript,
     UnknownRte,
+    advertised_gres,
     apply_rtes,
     generate_submit_script,
     load_rte_manifest,
@@ -19,6 +29,7 @@ from grespipe.jobsubmit import (
     match_target,
     write_spool_script,
 )
+from grespipe.lrms import collect_cluster_info
 from grespipe.xrsl import JobDescription, parse_xrsl
 
 from conftest import RESOURCE_LINES, brute_force_match
@@ -259,6 +270,101 @@ class TestMatchTarget:
             assert match_target(request, advertised) == brute_force_match(
                 raw_request, raw_classes
             )
+
+
+# Names that are substrings of one another ("gpu" in "gpuexcl") and names
+# that also occur as subtypes ("k80" in "gpu:k80:2") make the substring
+# prefilter pass lines that do not satisfy the request.
+_NAMES = ["gpu", "gpuexcl", "mps", "hbm", "k80"]
+_SUBTYPES = [None, "k80", "k80ce", "gpu", "no_consume"]
+_segment = st.tuples(
+    st.sampled_from(_NAMES), st.sampled_from(_SUBTYPES), st.sampled_from([None, "0", "1", "4", "1K"])
+).map(lambda fields: ":".join(filter(None, fields)))
+_raw_line = st.lists(_segment, min_size=1, max_size=4).map(",".join)
+
+
+@st.composite
+def _request_and_chunks(draw):
+    """Resource lines split across records, and a request whose entries are
+    often copied from those lines (with or without their subtype), so that
+    both verdicts are common."""
+    chunks = draw(st.lists(st.lists(_raw_line, max_size=4), max_size=3))
+    seen = [(e.name, e.subtype, e.count) for lines in chunks for line in lines for e in parse_gres_expression(line)]
+    fresh = st.tuples(st.sampled_from(_NAMES), st.sampled_from(_SUBTYPES), st.integers(0, 4))
+    copied = st.tuples(st.sampled_from(seen or [("gpu", None, 1)]), st.booleans()).map(
+        lambda pair: (pair[0][0], pair[0][1] if pair[1] else None, pair[0][2])
+    )
+    return draw(st.lists(st.one_of(copied, fresh), max_size=3)), chunks
+
+
+def _records(chunks: list[list[str]]) -> list[ComputingServiceRecord]:
+    return [
+        ComputingServiceRecord("domain", f"svc{index}", ComputingManagerRecord("SLURM", tuple(lines)))
+        for index, lines in enumerate(chunks)
+    ]
+
+
+def _parsed_or_none(line: str) -> GresList | None:
+    try:
+        return parse_gres_expression(line)
+    except GresParseError:
+        return None
+
+
+class TestAdvertisedGres:
+    @given(_request_and_chunks())
+    @example(([("gpu", None, 1)], [["gpuexcl:no_consume:1,mps:1"]]))
+    @example(([("gpu", None, 1)], [["mps:1,gpu"]]))
+    @example(([("k80", None, 1)], [["gpu:k80:2"]]))
+    @example(([("k80", None, 1)], [["gpu:k80,k80"]]))
+    @example(([("gpu", None, 1), ("hbm", None, 1)], [["hbm:16,gpu:1"]]))
+    @example(([], []))
+    @example(([], [["gpu:1"]]))
+    def test_prefilter_never_changes_the_verdict(self, request_and_chunks):
+        raw_request, chunks = request_and_chunks
+        names = [name for name, _subtype, _count in raw_request]
+        # Unparseable lines that still name every requested resource.
+        broken = [",".join(names) + ",,", ":".join(names + ["a", "b", "c"])]
+        chunks = [*chunks, broken]
+        request = GresList(tuple(GresEntry(n, s, c, str(c)) for n, s, c in raw_request))
+        parsed = [_parsed_or_none(line) for lines in chunks for line in lines]
+        raw_classes = [
+            [(e.name, e.subtype, e.count) for e in gres_list]
+            for gres_list in parsed
+            if gres_list is not None
+        ]
+        verdict = match_target(request, advertised_gres(_records(chunks), request))
+        assert verdict == brute_force_match(raw_request, raw_classes)
+
+    @pytest.fixture
+    def kebnekaise_records(self, kebnekaise_fixture, site_config):
+        record = build_computing_service(collect_cluster_info(kebnekaise_fixture), site_config)
+        return parse_execution_targets(render_glue2_xml(record))
+
+    @pytest.fixture
+    def parse_calls(self, monkeypatch):
+        """Every line jobsubmit hands to the GRES parser, in call order."""
+        calls = []
+
+        def counting_parse(text):
+            calls.append(text)
+            return parse_gres_expression(text)
+
+        monkeypatch.setattr(jobsubmit, "parse_gres_expression", counting_parse)
+        return calls
+
+    @pytest.mark.parametrize(
+        "request_text, verdict, parsed",
+        [
+            ("", True, []),
+            ("hbm:32G", False, ["hbm:16G", "hbm:0"]),
+            ("gpu:k80ce:4", True, [RESOURCE_LINES[0]]),
+        ],
+    )
+    def test_parses_only_candidate_lines(self, kebnekaise_records, parse_calls, request_text, verdict, parsed):
+        request = parse_gres_expression(request_text)
+        assert match_target(request, advertised_gres(kebnekaise_records, request)) is verdict
+        assert parse_calls == parsed
 
 
 class TestSpool:
