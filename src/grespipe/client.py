@@ -1,13 +1,11 @@
 """Client side of the pipeline: fetch the info document, parse it back into
 computing-manager records, and format them the way ``arcinfo`` prints them.
+
+``urllib`` and ``xml.etree`` are imported by the functions that use them,
+so a command that neither fetches nor parses does not load them.
 """
 
 from __future__ import annotations
-
-import urllib.error
-import urllib.parse
-import urllib.request
-from xml.etree import ElementTree
 
 from .infoprovider import ComputingManagerRecord, ComputingServiceRecord
 
@@ -79,6 +77,8 @@ def parse_execution_targets(xml_text: str) -> list[ComputingServiceRecord]:
     Raises :class:`MalformedXml` for non-well-formed input and
     :class:`NoServices` when no ComputingService element exists.
     """
+    from xml.etree import ElementTree
+
     try:
         root = ElementTree.fromstring(xml_text)
     except ElementTree.ParseError as exc:
@@ -156,6 +156,10 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
     :data:`MAX_DOCUMENT_BYTES` and :class:`FetchError` when the body ends
     before its ``Content-Length``.
     """
+    import urllib.error
+    import urllib.parse
+    import urllib.request
+
     scheme = urllib.parse.urlsplit(url).scheme
     if scheme != "http":
         raise ValueError(f"http URL required, got {url!r}")

@@ -9,6 +9,10 @@ and an ``id`` attribute on the domain, service and manager elements, so it
 is rendered from a fixed line template.  The ``GeneralResources`` element
 is emitted even when empty.  The endpoint takes its snapshots from any
 zero-argument callable returning a :class:`ClusterSnapshot`.
+
+The HTTP stack (``http.server`` and what it pulls in) is imported when a
+server starts, not with this module, so a command that only renders the
+document does not pay for it at start-up.
 """
 
 from __future__ import annotations
@@ -16,14 +20,14 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Mapping, Union
-
-from xml.sax.saxutils import escape, quoteattr
+from typing import TYPE_CHECKING, Callable, Mapping, Union
 
 from ._text import key_values
 from .lrms import ClusterSnapshot
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 __all__ = [
     "BadConfig",
@@ -41,6 +45,9 @@ __all__ = [
 _REQUIRED_KEYS = ("admin_domain", "service_id", "manager_name")
 _ALL_KEYS = _REQUIRED_KEYS + ("bind", "refresh_interval_seconds")
 _CONTROL_CHAR_RE = re.compile(r"[\x00-\x1f]")
+# An idle or stalled connection is dropped after this long, so it cannot
+# hold a server thread for good.
+HANDLER_TIMEOUT_SECONDS = 10.0
 
 
 class BadConfig(Exception):
@@ -165,6 +172,23 @@ def build_computing_service(
     return record
 
 
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>``, exactly as ``xml.sax.saxutils.escape``."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(text: str) -> str:
+    """Quote an attribute value exactly as ``xml.sax.saxutils.quoteattr``:
+    newline, CR and tab become character references, and the value is
+    wrapped in whichever quote it lacks (``"`` with ``&quot;`` if both)."""
+    text = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 def render_glue2_xml(record: ComputingServiceRecord) -> str:
     """Render the service record as the GLUE2-style skeleton document.
 
@@ -178,14 +202,14 @@ def render_glue2_xml(record: ComputingServiceRecord) -> str:
         '<?xml version="1.0" encoding="UTF-8"?>',
         "<InfoRoot>",
         "  <Domains>",
-        f"    <AdminDomain id={quoteattr(record.admin_domain)}>",
+        f"    <AdminDomain id={_quoteattr(record.admin_domain)}>",
         "      <Services>",
-        f"        <ComputingService id={quoteattr(record.service_id)}>",
-        f"          <ComputingManager id={quoteattr(record.manager.manager_name)}>",
+        f"        <ComputingService id={_quoteattr(record.service_id)}>",
+        f"          <ComputingManager id={_quoteattr(record.manager.manager_name)}>",
     ]
     if resources:
         lines.append("            <GeneralResources>")
-        lines.extend(f"              <Resource>{escape(resource)}</Resource>" for resource in resources)
+        lines.extend(f"              <Resource>{_escape(resource)}</Resource>" for resource in resources)
         lines.append("            </GeneralResources>")
     else:
         lines.append("            <GeneralResources/>")
@@ -201,26 +225,34 @@ def render_glue2_xml(record: ComputingServiceRecord) -> str:
     return "\n".join(lines)
 
 
-class _InfoRequestHandler(BaseHTTPRequestHandler):
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        path = self.path.split("?", 1)[0]
-        if path == "/info":
-            body = self.server.info_document  # type: ignore[attr-defined]
-            self._send(200, "application/xml", body)
-        elif path == "/healthz":
-            self._send(200, "text/plain", b"ok")
-        else:
-            self.send_error(404)
+def _request_handler() -> type:
+    """The ``/info`` handler class, built when a server starts."""
+    from http.server import BaseHTTPRequestHandler
 
-    def _send(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    class InfoRequestHandler(BaseHTTPRequestHandler):
+        timeout = HANDLER_TIMEOUT_SECONDS
 
-    def log_message(self, format: str, *args) -> None:  # keep the endpoint quiet
-        pass
+        def do_GET(self) -> None:  # noqa: N802 (http.server API)
+            path = self.path.split("?", 1)[0]
+            if path == "/info":
+                body = self.server.info_document  # type: ignore[attr-defined]
+                self._send(200, "application/xml", body)
+            elif path == "/healthz":
+                self._send(200, "text/plain", b"ok")
+            else:
+                self.send_error(404)
+
+        def _send(self, status: int, content_type: str, body: bytes) -> None:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, format: str, *args) -> None:  # keep the endpoint quiet
+            pass
+
+    return InfoRequestHandler
 
 
 class InfoServer:
@@ -243,9 +275,11 @@ class InfoServer:
         return render_glue2_xml(record).encode("utf-8")
 
     def start(self) -> "InfoServer":
+        from http.server import ThreadingHTTPServer
+
         host, port = split_bind(self._config.bind)
         try:
-            httpd = ThreadingHTTPServer((host, port), _InfoRequestHandler)
+            httpd = ThreadingHTTPServer((host, port), _request_handler())
         except OSError as exc:
             raise BindFailure(f"cannot bind {self._config.bind}: {exc}") from exc
         httpd.daemon_threads = True

@@ -12,7 +12,6 @@ requested name could never satisfy the request.
 
 from __future__ import annotations
 
-import hashlib
 import re
 import shlex
 import time
@@ -254,6 +253,8 @@ def write_spool_script(
     clock gives deterministic ids; name collisions get a numeric suffix.
     Returns ``(job_id, script_path)``.
     """
+    import hashlib
+
     spool_dir = Path(spool_dir)
     spool_dir.mkdir(parents=True, exist_ok=True)
     rendered = script.render()

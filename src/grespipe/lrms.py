@@ -12,7 +12,6 @@ to a real ``sinfo`` for deployment parity.
 
 from __future__ import annotations
 
-import subprocess
 import threading
 import time
 from dataclasses import dataclass
@@ -109,6 +108,12 @@ class ClusterFixture:
                 ) from exc
         return True
 
+    @cached_property
+    def _gres(self) -> tuple[str, ...]:
+        # The fixture is immutable, so the sinfo round trip always yields
+        # the same strings: do it once per fixture.
+        return tuple(read_gres_info(self))
+
 
 @dataclass(frozen=True)
 class ClusterSnapshot:
@@ -197,9 +202,8 @@ def collect_cluster_info(fixture: ClusterFixture, now: float | None = None) -> C
     ``now`` overrides the collection timestamp, for deterministic tests.
     """
     fixture.validate()
-    gres = tuple(read_gres_info(fixture))
     timestamp = int(time.time() if now is None else now)
-    return ClusterSnapshot(fixture.cluster_name, gres, timestamp)
+    return ClusterSnapshot(fixture.cluster_name, fixture._gres, timestamp)
 
 
 class SlurmFixtureBackend:
@@ -230,6 +234,8 @@ class SlurmExecBackend:
         self._lock = threading.Lock()
 
     def collect(self) -> ClusterSnapshot:
+        import subprocess
+
         with self._lock:
             try:
                 proc = subprocess.run(

@@ -420,3 +420,84 @@ def test_closed_stdout_is_env_error_without_traceback(argv):
         os.close(write_end)
     assert "Traceback" not in proc.stderr
     assert proc.returncode == EXIT_ENV
+
+
+# Stdlib modules a grespipe command must not load unless it serves, fetches
+# or shells out: each costs start-up time in every one-shot process.
+_ON_DEMAND_MODULES = (
+    "http.server",
+    "http.client",
+    "urllib.request",
+    "ssl",
+    "email",
+    "xml.sax.saxutils",
+    "subprocess",
+)
+_PIPELINE_MODULES = tuple(
+    f"grespipe.{name}" for name in ("gres", "lrms", "infoprovider", "client", "xrsl", "jobsubmit")
+)
+# Runs the command given as arguments (none: just imports the CLI), then
+# prints the exit code and every module the interpreter has loaded.
+_LIST_MODULES = """
+import io, sys
+stdout, sys.stdout = sys.stdout, io.StringIO()
+if sys.argv[1:]:
+    from grespipe.cli import main
+    code = main(sys.argv[1:])
+else:
+    import grespipe.cli
+    code = 0
+sys.stdout = stdout
+print(code)
+print("\\n".join(sys.modules))
+"""
+
+
+def _loaded_modules(argv: list[str]) -> tuple[int, set[str]]:
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIST_MODULES, *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        check=True,
+        timeout=60,
+    )
+    code, *modules = proc.stdout.splitlines()
+    return int(code), set(modules)
+
+
+@pytest.fixture(scope="module")
+def bare_modules() -> set[str]:
+    """What the interpreter loads in this environment before grespipe does."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; print('\\n'.join(sys.modules))"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        check=True,
+        timeout=60,
+    )
+    return set(proc.stdout.splitlines())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["mock-sinfo", "--bare"],
+        ["infoprovider"],
+        ["arcinfo", str(GOLDEN / "infoprovider.out")],
+        ["arcsub", str(data.HELLO_XRSL), "--spool-dir", "{spool}"],
+    ],
+    ids=["import", "mock-sinfo", "infoprovider", "arcinfo", "arcsub"],
+)
+def test_commands_load_only_the_stdlib_they_use(argv, bare_modules, tmp_path):
+    argv = [arg.replace("{spool}", str(tmp_path / "spool")) for arg in argv]
+    code, loaded = _loaded_modules(argv)
+    assert code == EXIT_OK
+    new = loaded - bare_modules
+    assert sorted(new.intersection(_ON_DEMAND_MODULES)) == []
+    if "xml.etree.ElementTree" not in bare_modules:
+        assert ("xml.etree.ElementTree" in new) == (argv[:1] == ["arcinfo"])
+    # The benchmark's tracer finds each pipeline module in sys.modules.
+    assert loaded.issuperset(_PIPELINE_MODULES)

@@ -5,13 +5,16 @@ import itertools
 import random
 import socket
 import threading
+import time
 import urllib.request
 from xml.etree import ElementTree
+from xml.sax import saxutils
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from grespipe import infoprovider
 from grespipe.infoprovider import (
     BadConfig,
     BindFailure,
@@ -20,6 +23,8 @@ from grespipe.infoprovider import (
     SiteConfig,
     build_computing_service,
     render_glue2_xml,
+    _escape,
+    _quoteattr,
     serve_info,
     split_bind,
 )
@@ -186,6 +191,16 @@ def test_manager_validate_rejects_exactly_control_characters(resources):
     assert str(excinfo.value) == f"resource string contains control characters: {offenders[0]!r}"
 
 
+@given(st.text(alphabet="\"'&<>\n\r\t\u00e9a "))
+@example("both \"double\" and 'single' quotes")
+@example("")
+def test_escaping_matches_saxutils(text):
+    # The standard library's functions are the oracle the renderer's own
+    # copies must match byte for byte.
+    assert _escape(text) == saxutils.escape(text)
+    assert _quoteattr(text) == saxutils.quoteattr(text)
+
+
 def test_pipeline_fidelity_random_fixtures():
     rng = random.Random(7)
     config = SiteConfig("dom", "svc", "slurm")
@@ -221,6 +236,21 @@ class TestServeInfo:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(server.url + "/nonexistent", timeout=5)
             assert excinfo.value.code == 404
+
+    def test_idle_connection_is_closed(self, kebnekaise_fixture, site_config, monkeypatch):
+        monkeypatch.setattr(infoprovider, "HANDLER_TIMEOUT_SECONDS", 0.5)
+        backend = SlurmFixtureBackend(kebnekaise_fixture)
+        with serve_info(backend, self._config(site_config)) as server:
+            host, port = server.url.removeprefix("http://").rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=5) as idle:
+                start = time.monotonic()
+                # End of stream: the server gave up on the silent client.
+                assert idle.recv(1) == b""
+                assert time.monotonic() - start < 4
+            with urllib.request.urlopen(server.url + "/info", timeout=5) as response:
+                body = response.read()
+        expected = render_glue2_xml(build_computing_service(backend.collect(), site_config))
+        assert body.decode("utf-8") == expected
 
     def test_bind_failure(self, kebnekaise_fixture, site_config):
         blocker = socket.socket()

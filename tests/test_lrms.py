@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from grespipe import lrms
+from grespipe import data, lrms
 from grespipe.gres import parse_gres_expression
 from grespipe.lrms import (
     SINFO_FORMAT,
@@ -128,6 +128,19 @@ class TestCollect:
         for _ in range(3):
             assert list(collect_cluster_info(kebnekaise_fixture).gres) == RESOURCE_LINES
         assert parse_calls == []
+
+    def test_gres_extracted_once_per_fixture(self, monkeypatch):
+        fixture = load_fixture(data.KEBNEKAISE_FIXTURE)
+        calls = []
+
+        def counting_query(fixture, format):
+            calls.append(format)
+            return sinfo_query(fixture, format)
+
+        monkeypatch.setattr(lrms, "sinfo_query", counting_query)
+        for _ in range(3):
+            assert list(collect_cluster_info(fixture).gres) == RESOURCE_LINES
+        assert len(calls) <= 1
 
     def test_invalid_fixture_rejected_on_every_collect(self, parse_calls):
         fixture = ClusterFixture("bad", (NodeClass("a", 1, "gpu:1"), NodeClass("b", 1, "gpu:")))
