@@ -4,40 +4,7 @@ Discovers GPU-style general resources from an emulated SLURM scheduler,
 publishes them in a GLUE2-style XML document over an HTTP info endpoint,
 parses them back into a human-readable report, and injects GRES requests
 into generated batch-submission scripts via runtime-environment manifests.
+Each module's ``__all__`` is its public API; import names from the modules.
 """
-
-from .gres import (
-    GresEntry,
-    GresList,
-    GresParseError,
-    parse_gres_expression,
-    render_gres_expression,
-    total_capacity,
-)
-from .lrms import (
-    ClusterFixture,
-    ClusterSnapshot,
-    collect_cluster_info,
-    load_fixture,
-    read_gres_info,
-    sinfo_query,
-)
-from .infoprovider import (
-    ComputingManagerRecord,
-    ComputingServiceRecord,
-    SiteConfig,
-    build_computing_service,
-    render_glue2_xml,
-    serve_info,
-)
-from .client import fetch_info, format_arcinfo, parse_execution_targets
-from .xrsl import JobDescription, parse_xrsl
-from .jobsubmit import (
-    RteManifest,
-    apply_rtes,
-    generate_submit_script,
-    load_rte_registry,
-    match_target,
-)
 
 __version__ = "0.1.0"

@@ -9,10 +9,10 @@ from typing import Iterator
 def content_lines(path: Path, error: type[Exception]) -> Iterator[tuple[str, str]]:
     """Yield ``(where, line)``, ``where`` being ``path:lineno``, for each
     stripped line that is not blank or a ``#`` comment; raise ``error`` if
-    the file cannot be read."""
+    the file cannot be read or is not UTF-8."""
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {path}: {exc}") from exc
     name = str(path)  # formatting a Path per line costs twice as much
     for lineno, raw in enumerate(text.splitlines(), start=1):

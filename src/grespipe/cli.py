@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -47,6 +48,7 @@ from .jobsubmit import (
     write_spool_script,
 )
 from .lrms import (
+    GRES_PREFIX,
     SINFO_FORMAT,
     LrmsError,
     SlurmFixtureBackend,
@@ -64,8 +66,14 @@ EXIT_INPUT = 2
 EXIT_ENV = 3
 
 ENV_PREFIX = "GRESPIPE_"
-_BARE_PREFIX = "gresinfo="
-_CONFIG_KEYS = ("fixture", "site_config", "rte_dir", "spool_dir", "endpoint")
+# Setting key -> (built-in default, label of a path that must exist or None).
+_SETTINGS = {
+    "fixture": (data.KEBNEKAISE_FIXTURE, "fixture file"),
+    "site_config": (data.SITE_CONF, "site config"),
+    "rte_dir": (data.RTE_DIR, "RTE directory"),
+    "spool_dir": ("spool", None),
+    "endpoint": ("127.0.0.1:8070", None),
+}
 
 
 class CliInputError(Exception):
@@ -82,15 +90,18 @@ def _clock() -> float | None:
     if value is None:
         return None
     try:
-        return float(value)
-    except ValueError as exc:
-        raise CliInputError(f"bad {ENV_PREFIX}NOW value: {value!r}") from exc
+        now = float(value)
+        if math.isfinite(now):
+            return now
+    except ValueError:
+        pass
+    raise CliInputError(f"bad {ENV_PREFIX}NOW value: {value!r}")
 
 
 def _load_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
     for where, key, value in key_values(path, CliInputError):
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise CliInputError(f"{where}: unknown key {key!r}")
         values[key] = value
     return values
@@ -100,51 +111,27 @@ class _Settings:
     """Per-invocation settings with flag > env > file > default resolution."""
 
     def __init__(self, args: argparse.Namespace):
-        config_path = getattr(args, "config", None)
-        self._file = _load_config_file(Path(config_path)) if config_path else {}
+        self._file = _load_config_file(args.config) if args.config else {}
         self._args = args
 
-    def _pick(self, attr: str, key: str, default) -> str:
-        value = getattr(self._args, attr, None)
-        if value is not None:
-            return str(value)
-        env = os.environ.get(ENV_PREFIX + key.upper())
-        if env:
-            return env
-        if key in self._file:
-            return self._file[key]
-        return str(default)
-
-    def _existing(self, attr: str, key: str, default, what: str) -> Path:
-        path = Path(self._pick(attr, key, default))
-        if not path.exists():
-            raise CliInputError(f"{what} not found: {path}")
-        return path
-
-    def fixture_path(self) -> Path:
-        return self._existing("fixture", "fixture", data.KEBNEKAISE_FIXTURE, "fixture file")
-
-    def site_config_path(self) -> Path:
-        return self._existing("site_config", "site_config", data.SITE_CONF, "site config")
-
-    def rte_dir(self) -> Path:
-        return self._existing("rte_dir", "rte_dir", data.RTE_DIR, "RTE directory")
-
-    def spool_dir(self) -> Path:
-        return Path(self._pick("spool_dir", "spool_dir", "spool"))
-
-    def endpoint(self) -> str:
-        return self._pick("endpoint", "endpoint", "127.0.0.1:8070")
+    def __getitem__(self, key: str) -> str:
+        default, what = _SETTINGS[key]
+        value = getattr(self._args, key, None)
+        if value is None:
+            value = os.environ.get(ENV_PREFIX + key.upper()) or self._file.get(key, default)
+        if what and not Path(value).exists():
+            raise CliInputError(f"{what} not found: {Path(value)}")
+        return str(value)
 
 
 def cmd_mock_sinfo(args: argparse.Namespace) -> int:
     try:
-        fixture = load_fixture(_Settings(args).fixture_path())
+        fixture = load_fixture(_Settings(args)["fixture"])
         lines = sinfo_query(fixture, SINFO_FORMAT)
     except (CliInputError, LrmsError) as exc:
         return _fail(str(exc))
     if args.bare:
-        lines = [line.removeprefix(_BARE_PREFIX) for line in lines]
+        lines = [line.removeprefix(GRES_PREFIX) for line in lines]
     for line in lines:
         print(line)
     return EXIT_OK
@@ -153,8 +140,8 @@ def cmd_mock_sinfo(args: argparse.Namespace) -> int:
 def cmd_infoprovider(args: argparse.Namespace) -> int:
     try:
         settings = _Settings(args)
-        fixture = load_fixture(settings.fixture_path())
-        site = SiteConfig.from_file(settings.site_config_path())
+        fixture = load_fixture(settings["fixture"])
+        site = SiteConfig.from_file(settings["site_config"])
         if args.bind:
             site = dataclasses.replace(site, bind=args.bind)
         if args.refresh is not None:
@@ -190,7 +177,7 @@ def _read_info_document(target: str) -> str:
 
 
 def cmd_arcinfo(args: argparse.Namespace) -> int:
-    target = args.target or f"http://{_Settings(args).endpoint()}/info"
+    target = args.target or f"http://{_Settings(args)['endpoint']}/info"
     try:
         document = _read_info_document(target)
     except (FetchError, CliInputError, OSError, ValueError) as exc:
@@ -212,7 +199,7 @@ def cmd_arcsub(args: argparse.Namespace) -> int:
         if not xrsl_path.exists():
             raise CliInputError(f"job description not found: {xrsl_path}")
         text = xrsl_path.read_text(encoding="utf-8")
-    except (CliInputError, OSError) as exc:
+    except (CliInputError, OSError, UnicodeDecodeError) as exc:
         return _fail(str(exc))
     try:
         with warnings.catch_warnings(record=True) as caught:
@@ -220,7 +207,7 @@ def cmd_arcsub(args: argparse.Namespace) -> int:
             job = parse_xrsl(text)
         for warning in caught:
             print(f"grespipe: warning: {warning.message}", file=sys.stderr)
-        registry = load_rte_registry(settings.rte_dir())
+        registry = load_rte_registry(settings["rte_dir"])
         opts = apply_rtes(job, registry)
         script = generate_submit_script(opts)
         if args.match:
@@ -233,7 +220,7 @@ def cmd_arcsub(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_REFUSED
-        job_id, script_path = write_spool_script(script, settings.spool_dir(), now=_clock())
+        job_id, script_path = write_spool_script(script, settings["spool_dir"], now=_clock())
     except (CliInputError, XrslError, JobSubmitError, GresParseError, ClientError, OSError, ValueError) as exc:
         return _fail(str(exc))
     print(f"{job_id} {script_path}")
@@ -247,15 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
         "info endpoint, client report and job-script generation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=Path, help="settings file (key = value)")
 
-    mock = sub.add_parser("mock-sinfo", help="print the emulated sinfo GRES listing")
-    mock.add_argument("--config", type=Path, help="settings file (key = value)")
+    mock = sub.add_parser("mock-sinfo", parents=[common], help="print the emulated sinfo GRES listing")
     mock.add_argument("--fixture", type=Path, help="cluster fixture file")
-    mock.add_argument("--bare", action="store_true", help="strip the gresinfo= prefix")
+    mock.add_argument("--bare", action="store_true", help=f"strip the {GRES_PREFIX} prefix")
     mock.set_defaults(func=cmd_mock_sinfo)
 
-    info = sub.add_parser("infoprovider", help="emit or serve the info XML document")
-    info.add_argument("--config", type=Path, help="settings file (key = value)")
+    info = sub.add_parser("infoprovider", parents=[common], help="emit or serve the info XML document")
     info.add_argument("--fixture", type=Path, help="cluster fixture file")
     info.add_argument("--site-config", dest="site_config", type=Path, help="site config file")
     info.add_argument("--serve", action="store_true", help="serve over HTTP instead of printing")
@@ -263,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("--refresh", type=float, help="refresh interval in seconds")
     info.set_defaults(func=cmd_infoprovider)
 
-    arcinfo = sub.add_parser("arcinfo", help="fetch, parse and format an info document")
-    arcinfo.add_argument("--config", type=Path, help="settings file (key = value)")
+    arcinfo = sub.add_parser("arcinfo", parents=[common], help="fetch, parse and format an info document")
     arcinfo.add_argument(
         "target",
         nargs="?",
@@ -272,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     arcinfo.set_defaults(func=cmd_arcinfo)
 
-    arcsub = sub.add_parser("arcsub", help="generate and spool a batch script from XRSL")
-    arcsub.add_argument("--config", type=Path, help="settings file (key = value)")
+    arcsub = sub.add_parser("arcsub", parents=[common], help="generate and spool a batch script from XRSL")
     arcsub.add_argument("xrsl", help="job description file")
     arcsub.add_argument("--rte-dir", dest="rte_dir", type=Path, help="runtime environment directory")
     arcsub.add_argument("--spool-dir", dest="spool_dir", type=Path, help="spool directory for scripts")

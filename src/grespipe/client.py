@@ -51,8 +51,8 @@ class Unreachable(FetchError):
 class BadStatus(FetchError):
     """The endpoint answered with a non-200 status."""
 
-    def __init__(self, status: int, message: str = ""):
-        super().__init__(message or f"unexpected HTTP status {status}")
+    def __init__(self, status: int):
+        super().__init__(f"unexpected HTTP status {status}")
         self.status = status
 
 
@@ -85,9 +85,7 @@ def parse_execution_targets(xml_text: str) -> list[ComputingServiceRecord]:
         raise MalformedXml(str(exc)) from exc
     parent_of = {child: parent for parent in root.iter() for child in parent}
     records = []
-    found_service = False
     for service in root.iter("ComputingService"):
-        found_service = True
         admin_domain = _enclosing_admin_domain(service, parent_of)
         service_id = service.get("id", "")
         managers = list(service.iter("ComputingManager"))
@@ -109,7 +107,7 @@ def parse_execution_targets(xml_text: str) -> list[ComputingServiceRecord]:
                     ComputingManagerRecord(manager.get("id", ""), tuple(resources)),
                 )
             )
-    if not found_service:
+    if not records:  # every service yields at least one record
         raise NoServices("document contains no ComputingService element")
     return records
 

@@ -142,9 +142,6 @@ class GresList:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
     def __str__(self) -> str:
         return ",".join(str(entry) for entry in self.entries)
 

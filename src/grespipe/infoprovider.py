@@ -12,7 +12,9 @@ zero-argument callable returning a :class:`ClusterSnapshot`.
 
 The HTTP stack (``http.server`` and what it pulls in) is imported when a
 server starts, not with this module, so a command that only renders the
-document does not pay for it at start-up.
+document does not pay for it at start-up.  A failed refresh is logged at
+WARNING on the ``grespipe.infoprovider`` logger; ``logging`` is imported
+by the first failure.
 """
 
 from __future__ import annotations
@@ -81,9 +83,9 @@ class SiteConfig:
     refresh_interval_seconds: float = 30.0
 
     def __post_init__(self) -> None:
-        for key in _REQUIRED_KEYS:
-            if not getattr(self, key):
-                raise BadConfig(f"missing required config key: {key}")
+        missing = [key for key in _REQUIRED_KEYS if not getattr(self, key)]
+        if missing:
+            raise BadConfig(f"missing required config keys: {', '.join(missing)}")
         if self.refresh_interval_seconds <= 0:
             raise BadConfig("refresh_interval_seconds must be positive")
         split_bind(self.bind)
@@ -93,10 +95,7 @@ class SiteConfig:
         unknown = set(mapping) - set(_ALL_KEYS)
         if unknown:
             raise BadConfig(f"unknown config keys: {', '.join(sorted(unknown))}")
-        missing = [key for key in _REQUIRED_KEYS if not mapping.get(key)]
-        if missing:
-            raise BadConfig(f"missing required config keys: {', '.join(missing)}")
-        kwargs: dict = {key: mapping[key] for key in _REQUIRED_KEYS}
+        kwargs: dict = {key: mapping.get(key, "") for key in _REQUIRED_KEYS}
         if "bind" in mapping:
             kwargs["bind"] = mapping["bind"]
         if "refresh_interval_seconds" in mapping:
@@ -300,7 +299,11 @@ class InfoServer:
         while not self._stop.wait(self._config.refresh_interval_seconds):
             try:
                 document = self._build_document()
-            except Exception:
+            except Exception as exc:
+                import logging
+
+                log = logging.getLogger("grespipe.infoprovider")
+                log.warning("event=refresh outcome=error error=%r", exc, exc_info=True)
                 continue  # keep serving the previous document
             if self._httpd is not None:
                 self._httpd.info_document = document  # type: ignore[attr-defined]

@@ -24,6 +24,7 @@ from .gres import GresParseError, parse_gres_expression
 __all__ = [
     "NULL_TOKEN",
     "SINFO_FORMAT",
+    "GRES_PREFIX",
     "NodeClass",
     "ClusterFixture",
     "ClusterSnapshot",
@@ -40,6 +41,7 @@ __all__ = [
 
 NULL_TOKEN = "(null)"
 SINFO_FORMAT = "gresinfo=%G"
+GRES_PREFIX = SINFO_FORMAT.removesuffix("%G")
 SINFO_ARGS = ("-a", "-h", "-o", SINFO_FORMAT)
 # A hung sinfo must not stall the refresher for good.
 SINFO_TIMEOUT_SECONDS = 30.0
@@ -170,13 +172,6 @@ def sinfo_query(fixture: ClusterFixture, format: str) -> list[str]:
     return [format.replace("%G", node_class.gres_line) for node_class in fixture.node_classes]
 
 
-def _get_variable(key: str, line: str) -> str:
-    prefix = key + "="
-    if not line.startswith(prefix):
-        raise LrmsError(f"line does not carry {key!r}: {line!r}")
-    return line[len(prefix):]
-
-
 def _extract_gres(lines: list[str]) -> list[str]:
     # Any line containing the null token is dropped (substring match, not
     # equality), then the key prefix is stripped.
@@ -184,7 +179,9 @@ def _extract_gres(lines: list[str]) -> list[str]:
     for line in lines:
         if NULL_TOKEN in line:
             continue
-        extracted.append(_get_variable("gresinfo", line))
+        if not line.startswith(GRES_PREFIX):
+            raise LrmsError(f"line does not carry {GRES_PREFIX!r}: {line!r}")
+        extracted.append(line[len(GRES_PREFIX):])
     return extracted
 
 

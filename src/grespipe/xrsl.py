@@ -197,6 +197,4 @@ def parse_xrsl(text: str) -> JobDescription:
             warnings.warn(f"ignoring unknown attribute {name!r}", UnknownAttributeWarning, stacklevel=2)
     if not fields["executable"]:
         raise MissingExecutable("job description supplies no executable")
-    fields["arguments"] = tuple(fields["arguments"])
-    fields["runtime_environments"] = tuple(fields["runtime_environments"])
     return JobDescription(**fields)

@@ -422,6 +422,48 @@ def test_closed_stdout_is_env_error_without_traceback(argv):
     assert proc.returncode == EXIT_ENV
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mock-sinfo", "--fixture", "{bad}"],
+        ["mock-sinfo", "--config", "{bad}"],
+        ["infoprovider", "--site-config", "{bad}"],
+        ["arcsub", "{bad}", "--spool-dir", "{spool}"],
+        ["arcsub", str(data.HELLO_XRSL), "--rte-dir", "{dir}", "--spool-dir", "{spool}"],
+    ],
+    ids=["fixture", "config", "site-config", "xrsl", "rte-manifest"],
+)
+def test_non_utf8_input_file_is_input_error_without_traceback(argv, tmp_path):
+    bad = tmp_path / "bad.rte"
+    bad.write_bytes(b"\xff\xfe")
+    argv = [arg.format(bad=bad, dir=tmp_path, spool=tmp_path / "spool") for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "grespipe", *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("grespipe: error: ")
+    assert proc.returncode == EXIT_INPUT
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [["infoprovider"], ["arcsub", str(data.HELLO_XRSL), "--spool-dir", "{spool}"]],
+    ids=["infoprovider", "arcsub"],
+)
+def test_bad_clock_value_is_input_error(argv, value, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GRESPIPE_NOW", value)
+    argv = [arg.format(spool=tmp_path / "spool") for arg in argv]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"grespipe: error: bad GRESPIPE_NOW value: {value!r}\n"
+
+
 # Stdlib modules a grespipe command must not load unless it serves, fetches
 # or shells out: each costs start-up time in every one-shot process.
 _ON_DEMAND_MODULES = (

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import logging
 import random
 import socket
 import threading
@@ -293,7 +294,7 @@ class TestServeInfo:
                 thread.join()
         assert errors == []
 
-    def test_refresh_survives_collection_failure(self, site_config):
+    def test_refresh_survives_collection_failure(self, site_config, caplog):
         flips = itertools.count()
 
         def source():
@@ -301,8 +302,20 @@ class TestServeInfo:
                 raise RuntimeError("collection hiccup")
             return ClusterSnapshot("flaky", ("gpu:1",), 0)
 
+        def failures():
+            return [
+                record
+                for record in caplog.records
+                if record.name == "grespipe.infoprovider" and record.levelno == logging.WARNING
+            ]
+
         config = self._config(site_config, refresh_interval_seconds=0.01)
         with serve_info(source, config) as server:
             for _ in range(5):
                 with urllib.request.urlopen(server.url + "/info", timeout=5) as response:
                     assert _resources_of(response.read().decode("utf-8")) == ["gpu:1"]
+            deadline = time.monotonic() + 5
+            while not failures() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        assert failures(), "a failed refresh was not logged"
+        assert "collection hiccup" in failures()[0].getMessage()

@@ -210,6 +210,20 @@ class TestBackends:
         with pytest.raises(LrmsError):
             SlurmExecBackend("x", sinfo_path=str(script)).collect()
 
+    def test_exec_backend_line_without_prefix(self, tmp_path):
+        script = tmp_path / "foreign_sinfo"
+        script.write_text("#!/bin/sh\necho 'gresinfo=gpu:1'\necho 'gpu:k80:4'\n")
+        script.chmod(0o755)
+        with pytest.raises(LrmsError, match="'gpu:k80:4'"):
+            SlurmExecBackend("x", sinfo_path=str(script)).collect()
+
+    def test_exec_backend_skips_blank_and_empty_lines(self, tmp_path):
+        script = tmp_path / "sparse_sinfo"
+        script.write_text("#!/bin/sh\necho ''\necho 'gresinfo='\necho 'gresinfo=gpu:v100:2'\n")
+        script.chmod(0o755)
+        snapshot = SlurmExecBackend("x", sinfo_path=str(script)).collect()
+        assert snapshot.gres == ("gpu:v100:2",)
+
     def test_exec_backend_missing_binary(self, tmp_path):
         with pytest.raises(LrmsError):
             SlurmExecBackend("x", sinfo_path=str(tmp_path / "missing")).collect()
