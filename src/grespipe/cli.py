@@ -6,6 +6,10 @@ format an info document) and ``arcsub`` (job-description to spooled batch
 script, with optional matchmaking).
 
 Exit codes: 0 success, 1 domain refusal, 2 input error, 3 environment error.
+A command returns 0, or 1 when ``arcsub --match`` finds no fitting target;
+every other failure is raised, and :func:`main` alone maps it to its code,
+the first match winning: ``BrokenPipeError`` (stdout closed early) 3,
+:class:`BindFailure` 3, :class:`NoServices` 1, ``_INPUT_ERRORS`` 2.
 
 Settings resolve flag > environment > config file > built-in default; the
 environment variables are prefixed ``GRESPIPE_`` (``GRESPIPE_FIXTURE``,
@@ -25,16 +29,8 @@ import warnings
 from pathlib import Path
 
 from . import data
-from .client import (
-    ClientError,
-    FetchError,
-    MalformedXml,
-    NoServices,
-    fetch_info,
-    format_arcinfo,
-    parse_execution_targets,
-)
-from ._text import key_values
+from .client import ClientError, NoServices, fetch_info, format_arcinfo, parse_execution_targets
+from ._text import key_values, read_text
 from .gres import GresParseError
 from .infoprovider import BadConfig, BindFailure, SiteConfig, build_computing_service, render_glue2_xml, serve_info
 from .jobsubmit import (
@@ -66,13 +62,13 @@ EXIT_INPUT = 2
 EXIT_ENV = 3
 
 ENV_PREFIX = "GRESPIPE_"
-# Setting key -> (built-in default, label of a path that must exist or None).
+# Setting key -> built-in default.
 _SETTINGS = {
-    "fixture": (data.KEBNEKAISE_FIXTURE, "fixture file"),
-    "site_config": (data.SITE_CONF, "site config"),
-    "rte_dir": (data.RTE_DIR, "RTE directory"),
-    "spool_dir": ("spool", None),
-    "endpoint": ("127.0.0.1:8070", None),
+    "fixture": data.KEBNEKAISE_FIXTURE,
+    "site_config": data.SITE_CONF,
+    "rte_dir": data.RTE_DIR,
+    "spool_dir": "spool",
+    "endpoint": "127.0.0.1:8070",
 }
 
 
@@ -115,21 +111,14 @@ class _Settings:
         self._args = args
 
     def __getitem__(self, key: str) -> str:
-        default, what = _SETTINGS[key]
         value = getattr(self._args, key, None)
         if value is None:
-            value = os.environ.get(ENV_PREFIX + key.upper()) or self._file.get(key, default)
-        if what and not Path(value).exists():
-            raise CliInputError(f"{what} not found: {Path(value)}")
+            value = os.environ.get(ENV_PREFIX + key.upper()) or self._file.get(key, _SETTINGS[key])
         return str(value)
 
 
 def cmd_mock_sinfo(args: argparse.Namespace) -> int:
-    try:
-        fixture = load_fixture(_Settings(args)["fixture"])
-        lines = sinfo_query(fixture, SINFO_FORMAT)
-    except (CliInputError, LrmsError) as exc:
-        return _fail(str(exc))
+    lines = sinfo_query(load_fixture(_Settings(args)["fixture"]), SINFO_FORMAT)
     if args.bare:
         lines = [line.removeprefix(GRES_PREFIX) for line in lines]
     for line in lines:
@@ -138,91 +127,58 @@ def cmd_mock_sinfo(args: argparse.Namespace) -> int:
 
 
 def cmd_infoprovider(args: argparse.Namespace) -> int:
+    settings = _Settings(args)
+    fixture = load_fixture(settings["fixture"])
+    site = SiteConfig.from_file(settings["site_config"])
+    if args.bind:
+        site = dataclasses.replace(site, bind=args.bind)
+    if args.refresh is not None:
+        site = dataclasses.replace(site, refresh_interval_seconds=args.refresh)
+    if not args.serve:
+        snapshot = collect_cluster_info(fixture, now=_clock())
+        sys.stdout.write(render_glue2_xml(build_computing_service(snapshot, site)))
+        return EXIT_OK
     try:
-        settings = _Settings(args)
-        fixture = load_fixture(settings["fixture"])
-        site = SiteConfig.from_file(settings["site_config"])
-        if args.bind:
-            site = dataclasses.replace(site, bind=args.bind)
-        if args.refresh is not None:
-            site = dataclasses.replace(site, refresh_interval_seconds=args.refresh)
-        if not args.serve:
-            snapshot = collect_cluster_info(fixture, now=_clock())
-            sys.stdout.write(render_glue2_xml(build_computing_service(snapshot, site)))
-            return EXIT_OK
-    except (CliInputError, LrmsError, BadConfig) as exc:
-        return _fail(str(exc))
-    try:
-        server = serve_info(SlurmFixtureBackend(fixture), site)
-    except BindFailure as exc:
-        return _fail(str(exc), EXIT_ENV)
-    try:
-        print(f"serving on {server.url}", flush=True)
-        while True:
-            time.sleep(1)
+        with serve_info(SlurmFixtureBackend(fixture), site) as server:
+            print(f"serving on {server.url}", flush=True)
+            while True:
+                time.sleep(1)
     except KeyboardInterrupt:
         pass
-    finally:
-        server.stop()
     return EXIT_OK
 
 
 def _read_info_document(target: str) -> str:
     if target.startswith(("http://", "https://")):
         return fetch_info(target)
-    path = Path(target)
-    if not path.exists():
-        raise CliInputError(f"info document not found: {path}")
-    return path.read_text(encoding="utf-8")
+    return read_text(Path(target), CliInputError)
 
 
 def cmd_arcinfo(args: argparse.Namespace) -> int:
     target = args.target or f"http://{_Settings(args)['endpoint']}/info"
-    try:
-        document = _read_info_document(target)
-    except (FetchError, CliInputError, OSError, ValueError) as exc:
-        return _fail(str(exc))
-    try:
-        records = parse_execution_targets(document)
-    except NoServices as exc:
-        return _fail(str(exc), EXIT_REFUSED)
-    except MalformedXml as exc:
-        return _fail(str(exc))
+    records = parse_execution_targets(_read_info_document(target))
     sys.stdout.write(format_arcinfo(records))
     return EXIT_OK
 
 
 def cmd_arcsub(args: argparse.Namespace) -> int:
     settings = _Settings(args)
-    try:
-        xrsl_path = Path(args.xrsl)
-        if not xrsl_path.exists():
-            raise CliInputError(f"job description not found: {xrsl_path}")
-        text = xrsl_path.read_text(encoding="utf-8")
-    except (CliInputError, OSError, UnicodeDecodeError) as exc:
-        return _fail(str(exc))
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            job = parse_xrsl(text)
-        for warning in caught:
-            print(f"grespipe: warning: {warning.message}", file=sys.stderr)
-        registry = load_rte_registry(settings["rte_dir"])
-        opts = apply_rtes(job, registry)
-        script = generate_submit_script(opts)
-        if args.match:
-            document = _read_info_document(args.match)
-            records = parse_execution_targets(document)
-            requested = requested_gres(opts.node_properties)
-            if not match_target(requested, advertised_gres(records, requested)):
-                print(
-                    f"grespipe: no advertised target satisfies {requested}",
-                    file=sys.stderr,
-                )
-                return EXIT_REFUSED
-        job_id, script_path = write_spool_script(script, settings["spool_dir"], now=_clock())
-    except (CliInputError, XrslError, JobSubmitError, GresParseError, ClientError, OSError, ValueError) as exc:
-        return _fail(str(exc))
+    text = read_text(Path(args.xrsl), CliInputError)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        job = parse_xrsl(text)
+    for warning in caught:
+        print(f"grespipe: warning: {warning.message}", file=sys.stderr)
+    registry = load_rte_registry(settings["rte_dir"])
+    opts = apply_rtes(job, registry)
+    script = generate_submit_script(opts)
+    if args.match:
+        records = parse_execution_targets(_read_info_document(args.match))
+        requested = requested_gres(opts.node_properties)
+        if not match_target(requested, advertised_gres(records, requested)):
+            print(f"grespipe: no advertised target satisfies {requested}", file=sys.stderr)
+            return EXIT_REFUSED
+    job_id, script_path = write_spool_script(script, settings["spool_dir"], now=_clock())
     print(f"{job_id} {script_path}")
     return EXIT_OK
 
@@ -268,15 +224,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Unusable input: missing or malformed files, flags, settings and documents.
+_INPUT_ERRORS = (CliInputError, LrmsError, BadConfig, ClientError, XrslError, JobSubmitError, GresParseError,
+                 OSError, ValueError)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except CliInputError as exc:
-        return _fail(str(exc))
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it must be matched first
         # The reader went away, as under ``| head``: exit quietly.  Point the
         # descriptor at /dev/null so the flush at interpreter exit cannot
         # raise a second time.
@@ -284,6 +243,12 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_ENV
+    except BindFailure as exc:
+        return _fail(str(exc), EXIT_ENV)
+    except NoServices as exc:
+        return _fail(str(exc), EXIT_REFUSED)
+    except _INPUT_ERRORS as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

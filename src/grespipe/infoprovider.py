@@ -61,14 +61,16 @@ class BindFailure(Exception):
 
 
 def split_bind(bind: str) -> tuple[str, int]:
-    """Split a ``host:port`` string; raises :class:`BadConfig` on bad input."""
+    """Split a ``host:port`` string; raises :class:`BadConfig` on bad input or a port outside 0-65535."""
     host, sep, port_text = bind.rpartition(":")
     if not sep or not host:
         raise BadConfig(f"bind must be host:port, got {bind!r}")
     try:
         port = int(port_text)
-    except ValueError as exc:
-        raise BadConfig(f"bad port in bind {bind!r}") from exc
+    except ValueError:
+        port = -1
+    if not 0 <= port <= 65535:
+        raise BadConfig(f"bad port in bind {bind!r}")
     return host, port
 
 
@@ -86,8 +88,9 @@ class SiteConfig:
         missing = [key for key in _REQUIRED_KEYS if not getattr(self, key)]
         if missing:
             raise BadConfig(f"missing required config keys: {', '.join(missing)}")
-        if self.refresh_interval_seconds <= 0:
-            raise BadConfig("refresh_interval_seconds must be positive")
+        # nan would make the refresher spin; above TIMEOUT_MAX Event.wait raises.
+        if not 0 < self.refresh_interval_seconds <= threading.TIMEOUT_MAX:
+            raise BadConfig(f"refresh_interval_seconds must be in (0, {threading.TIMEOUT_MAX:g}]")
         split_bind(self.bind)
 
     @classmethod
@@ -276,17 +279,14 @@ class InfoServer:
     def start(self) -> "InfoServer":
         from http.server import ThreadingHTTPServer
 
+        document = self._build_document()  # before binding, so a failure leaves nothing open
         host, port = split_bind(self._config.bind)
         try:
             httpd = ThreadingHTTPServer((host, port), _request_handler())
         except OSError as exc:
             raise BindFailure(f"cannot bind {self._config.bind}: {exc}") from exc
         httpd.daemon_threads = True
-        try:
-            httpd.info_document = self._build_document()  # type: ignore[attr-defined]
-        except Exception:
-            httpd.server_close()
-            raise
+        httpd.info_document = document  # type: ignore[attr-defined]
         self._httpd = httpd
         serve = threading.Thread(target=httpd.serve_forever, daemon=True)
         refresh = threading.Thread(target=self._refresh_loop, daemon=True)
@@ -305,8 +305,7 @@ class InfoServer:
                 log = logging.getLogger("grespipe.infoprovider")
                 log.warning("event=refresh outcome=error error=%r", exc, exc_info=True)
                 continue  # keep serving the previous document
-            if self._httpd is not None:
-                self._httpd.info_document = document  # type: ignore[attr-defined]
+            self._httpd.info_document = document  # type: ignore[union-attr]
 
     @property
     def url(self) -> str:

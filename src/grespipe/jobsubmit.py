@@ -133,8 +133,11 @@ def load_rte_manifest(path: str | Path) -> RteManifest:
 
 
 def load_rte_registry(directory: str | Path) -> dict[str, RteManifest]:
-    """Load every ``*.rte`` manifest under a directory, keyed by declared name."""
+    """Load every ``*.rte`` manifest under a directory, keyed by declared name;
+    raises :class:`RteManifestError` when ``directory`` is not a directory."""
     directory = Path(directory)
+    if not directory.is_dir():
+        raise RteManifestError(f"RTE directory not found: {directory}")
     registry: dict[str, RteManifest] = {}
     for path in sorted(directory.glob("*.rte")):
         manifest = load_rte_manifest(path)

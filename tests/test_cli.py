@@ -31,6 +31,17 @@ def _child_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": pythonpath}
 
 
+def _run_child(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run ``python -m grespipe <argv>`` to completion, capturing its output."""
+    return subprocess.run(
+        [sys.executable, "-m", "grespipe", *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+
+
 class TestMockSinfo:
     def test_bare_emits_listing(self, capsys):
         assert main(["mock-sinfo", "--bare"]) == EXIT_OK
@@ -110,6 +121,18 @@ class TestInfoprovider:
             assert rc == EXIT_ENV
         finally:
             blocker.close()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--bind", "127.0.0.1:70000"], ["--refresh", "inf"]],
+        ids=["bind-port", "refresh-inf"],
+    )
+    def test_bad_serve_setting_is_input_error_without_traceback(self, flags):
+        proc = _run_child(["infoprovider", "--serve", "--bind", "127.0.0.1:0", *flags])
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("grespipe: error: ")
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stdout == ""
 
     def test_serve_shuts_down_cleanly_on_sigint(self):
         proc = subprocess.Popen(
@@ -302,6 +325,15 @@ class TestMatchmakingFlow:
         assert "exceeds 100 bytes" in capsys.readouterr().err
         assert not spool.exists()
 
+    def test_match_no_services_is_refusal(self, tmp_path, capsys):
+        document = tmp_path / "info.xml"
+        document.write_text("<InfoRoot/>")
+        spool = tmp_path / "spool"
+        argv = ["arcsub", str(data.HELLO_XRSL), "--spool-dir", str(spool), "--match", str(document)]
+        assert main(argv) == EXIT_REFUSED
+        assert "no ComputingService" in capsys.readouterr().err
+        assert not spool.exists()
+
     def test_shipped_kgpu6_subtype_mismatch_refused(self, served, tmp_path):
         # the sample RTE requests "k80" while the cluster advertises "k80ce"
         rc = main(
@@ -430,23 +462,41 @@ def test_closed_stdout_is_env_error_without_traceback(argv):
         ["infoprovider", "--site-config", "{bad}"],
         ["arcsub", "{bad}", "--spool-dir", "{spool}"],
         ["arcsub", str(data.HELLO_XRSL), "--rte-dir", "{dir}", "--spool-dir", "{spool}"],
+        ["arcinfo", "{bad}"],
     ],
-    ids=["fixture", "config", "site-config", "xrsl", "rte-manifest"],
+    ids=["fixture", "config", "site-config", "xrsl", "rte-manifest", "arcinfo"],
 )
 def test_non_utf8_input_file_is_input_error_without_traceback(argv, tmp_path):
     bad = tmp_path / "bad.rte"
     bad.write_bytes(b"\xff\xfe")
     argv = [arg.format(bad=bad, dir=tmp_path, spool=tmp_path / "spool") for arg in argv]
-    proc = subprocess.run(
-        [sys.executable, "-m", "grespipe", *argv],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
-        timeout=60,
-    )
+    proc = _run_child(argv)
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("grespipe: error: ")
     assert proc.returncode == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mock-sinfo", "--fixture", "{missing}"],
+        ["infoprovider", "--site-config", "{missing}"],
+        ["arcsub", str(data.HELLO_XRSL), "--rte-dir", "{missing}", "--spool-dir", "{spool}"],
+        ["arcsub", "{missing}", "--spool-dir", "{spool}"],
+        ["arcinfo", "{missing}"],
+        ["arcsub", str(data.HELLO_XRSL), "--spool-dir", "{spool}", "--match", "{missing}"],
+    ],
+    ids=["fixture", "site-config", "rte-dir", "xrsl", "arcinfo", "match"],
+)
+def test_missing_input_path_is_input_error(argv, tmp_path):
+    missing = tmp_path / "missing"
+    argv = [arg.format(missing=missing, spool=tmp_path / "spool") for arg in argv]
+    proc = _run_child(argv)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("grespipe: error: ")
+    assert str(missing) in proc.stderr
+    assert proc.returncode == EXIT_INPUT
+    assert not (tmp_path / "spool").exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "nan", "inf"])

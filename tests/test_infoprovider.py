@@ -62,16 +62,16 @@ class TestSiteConfig:
 
     def test_bad_refresh_interval(self):
         base = {"admin_domain": "x", "service_id": "y", "manager_name": "z"}
-        with pytest.raises(BadConfig):
-            SiteConfig.from_mapping({**base, "refresh_interval_seconds": "soon"})
-        with pytest.raises(BadConfig):
-            SiteConfig.from_mapping({**base, "refresh_interval_seconds": "0"})
+        # nan would make the refresher spin; inf and values above
+        # threading.TIMEOUT_MAX make Event.wait raise in the refresher.
+        for value in ["soon", "0", "nan", "inf", "1e12"]:
+            with pytest.raises(BadConfig):
+                SiteConfig.from_mapping({**base, "refresh_interval_seconds": value})
 
     def test_bad_bind(self):
-        with pytest.raises(BadConfig):
-            split_bind("no-port")
-        with pytest.raises(BadConfig):
-            split_bind("host:notaport")
+        for bind in ["no-port", "host:notaport", "127.0.0.1:70000", "127.0.0.1:-1"]:
+            with pytest.raises(BadConfig):
+                split_bind(bind)
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "site.conf"
@@ -264,6 +264,23 @@ class TestServeInfo:
                 serve_info(SlurmFixtureBackend(kebnekaise_fixture), config)
         finally:
             blocker.close()
+
+    def test_first_render_failure_is_raised_and_leaves_the_port_free(self, site_config):
+        def source():
+            raise RuntimeError("no first snapshot")
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        config = dataclasses.replace(site_config, bind=f"127.0.0.1:{port}")
+        # Holding the traceback keeps a half-started server alive, so a socket
+        # left open is not closed by garbage collection before the re-bind.
+        with pytest.raises(RuntimeError) as raised:
+            serve_info(source, config)
+        with socket.socket() as again:
+            again.bind(("127.0.0.1", port))
+            again.listen(1)
+        assert "no first snapshot" in str(raised.value)
 
     def test_concurrent_fetches_during_refresh(self, site_config):
         counter = itertools.count()

@@ -87,6 +87,10 @@ class TestManifests:
         registry = load_rte_registry(tmp_path)
         assert sorted(registry) == ["A", "B"]
 
+    def test_registry_rejects_missing_directory(self, tmp_path):
+        with pytest.raises(RteManifestError, match="RTE directory not found"):
+            load_rte_registry(tmp_path / "nope")
+
     def test_registry_rejects_duplicate_names(self, tmp_path):
         (tmp_path / "a.rte").write_text("name = SAME\n")
         (tmp_path / "b.rte").write_text("name = SAME\n")
