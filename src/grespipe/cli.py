@@ -148,7 +148,7 @@ def cmd_infoprovider(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_info_document(target: str) -> str:
+def _read_document(target: str) -> str:
     if target.startswith(("http://", "https://")):
         return fetch_info(target)
     return read_text(Path(target), CliInputError)
@@ -156,7 +156,7 @@ def _read_info_document(target: str) -> str:
 
 def cmd_arcinfo(args: argparse.Namespace) -> int:
     target = args.target or f"http://{_Settings(args)['endpoint']}/info"
-    records = parse_execution_targets(_read_info_document(target))
+    records = parse_execution_targets(_read_document(target))
     sys.stdout.write(format_arcinfo(records))
     return EXIT_OK
 
@@ -173,7 +173,7 @@ def cmd_arcsub(args: argparse.Namespace) -> int:
     opts = apply_rtes(job, registry)
     script = generate_submit_script(opts)
     if args.match:
-        records = parse_execution_targets(_read_info_document(args.match))
+        records = parse_execution_targets(_read_document(args.match))
         requested = requested_gres(opts.node_properties)
         if not match_target(requested, advertised_gres(records, requested)):
             print(f"grespipe: no advertised target satisfies {requested}", file=sys.stderr)

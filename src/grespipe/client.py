@@ -45,7 +45,7 @@ class FetchError(ClientError):
 
 
 class Unreachable(FetchError):
-    """The endpoint could not be contacted."""
+    """The endpoint could not be contacted, or did not answer in HTTP."""
 
 
 class BadStatus(FetchError):
@@ -148,12 +148,13 @@ def format_arcinfo(records: list[ComputingServiceRecord]) -> str:
 def fetch_info(url: str, timeout: float = 10.0) -> str:
     """Fetch an info document over plain HTTP and return its body.
 
-    Raises :class:`Unreachable` on connection failure, :class:`BadStatus`
-    on a non-200 answer, :class:`BadContentType` when the response is not
-    XML, :class:`DocumentTooLarge` when the body exceeds
+    Raises :class:`Unreachable` on connection failure or a non-HTTP answer,
+    :class:`BadStatus` on a non-200 answer, :class:`BadContentType` when the
+    response is not XML, :class:`DocumentTooLarge` when the body exceeds
     :data:`MAX_DOCUMENT_BYTES` and :class:`FetchError` when the body ends
     before its ``Content-Length``.
     """
+    import http.client
     import urllib.error
     import urllib.parse
     import urllib.request
@@ -172,6 +173,8 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
         raise BadStatus(exc.code) from exc
     except (urllib.error.URLError, OSError) as exc:
         raise Unreachable(f"cannot reach {url}: {exc}") from exc
+    except http.client.HTTPException as exc:  # a bad port in the URL, or an answer that is not HTTP
+        raise Unreachable(f"cannot fetch {url}: {exc!r}") from exc
     if status != 200:
         raise BadStatus(status)
     if len(body) > MAX_DOCUMENT_BYTES:

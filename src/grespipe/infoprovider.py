@@ -10,9 +10,9 @@ is rendered from a fixed line template.  The ``GeneralResources`` element
 is emitted even when empty.  The endpoint takes its snapshots from any
 zero-argument callable returning a :class:`ClusterSnapshot`.
 
-The HTTP stack (``http.server`` and what it pulls in) is imported when a
-server starts, not with this module, so a command that only renders the
-document does not pay for it at start-up.  A failed refresh is logged at
+The endpoint itself lives in ``grespipe._httpd``, which only
+:func:`serve_info` imports, so a command that only renders the document
+does not load ``http.server`` at start-up.  A failed refresh is logged at
 WARNING on the ``grespipe.infoprovider`` logger; ``logging`` is imported
 by the first failure.
 """
@@ -23,13 +23,10 @@ import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Union
+from typing import Callable, Mapping, Union
 
 from ._text import key_values
 from .lrms import ClusterSnapshot
-
-if TYPE_CHECKING:
-    from http.server import ThreadingHTTPServer
 
 __all__ = [
     "BadConfig",
@@ -39,7 +36,6 @@ __all__ = [
     "ComputingServiceRecord",
     "build_computing_service",
     "render_glue2_xml",
-    "InfoServer",
     "serve_info",
     "split_bind",
 ]
@@ -227,112 +223,14 @@ def render_glue2_xml(record: ComputingServiceRecord) -> str:
     return "\n".join(lines)
 
 
-def _request_handler() -> type:
-    """The ``/info`` handler class, built when a server starts."""
-    from http.server import BaseHTTPRequestHandler
-
-    class InfoRequestHandler(BaseHTTPRequestHandler):
-        timeout = HANDLER_TIMEOUT_SECONDS
-
-        def do_GET(self) -> None:  # noqa: N802 (http.server API)
-            path = self.path.split("?", 1)[0]
-            if path == "/info":
-                body = self.server.info_document  # type: ignore[attr-defined]
-                self._send(200, "application/xml", body)
-            elif path == "/healthz":
-                self._send(200, "text/plain", b"ok")
-            else:
-                self.send_error(404)
-
-        def _send(self, status: int, content_type: str, body: bytes) -> None:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, format: str, *args) -> None:  # keep the endpoint quiet
-            pass
-
-    return InfoRequestHandler
-
-
-class InfoServer:
-    """HTTP info endpoint serving the rendered document on ``GET /info``.
-
-    The served document is an immutable bytes snapshot swapped atomically by
-    a single refresher thread, so concurrent readers never observe a torn mix
-    of two snapshots and handlers never block on collection.
-    """
-
-    def __init__(self, record_source: Callable[[], ClusterSnapshot], config: SiteConfig):
-        self._collect = record_source
-        self._config = config
-        self._httpd: ThreadingHTTPServer | None = None
-        self._threads: list[threading.Thread] = []
-        self._stop = threading.Event()
-
-    def _build_document(self) -> bytes:
-        record = build_computing_service(self._collect(), self._config)
-        return render_glue2_xml(record).encode("utf-8")
-
-    def start(self) -> "InfoServer":
-        from http.server import ThreadingHTTPServer
-
-        document = self._build_document()  # before binding, so a failure leaves nothing open
-        host, port = split_bind(self._config.bind)
-        try:
-            httpd = ThreadingHTTPServer((host, port), _request_handler())
-        except OSError as exc:
-            raise BindFailure(f"cannot bind {self._config.bind}: {exc}") from exc
-        httpd.daemon_threads = True
-        httpd.info_document = document  # type: ignore[attr-defined]
-        self._httpd = httpd
-        serve = threading.Thread(target=httpd.serve_forever, daemon=True)
-        refresh = threading.Thread(target=self._refresh_loop, daemon=True)
-        self._threads = [serve, refresh]
-        serve.start()
-        refresh.start()
-        return self
-
-    def _refresh_loop(self) -> None:
-        while not self._stop.wait(self._config.refresh_interval_seconds):
-            try:
-                document = self._build_document()
-            except Exception as exc:
-                import logging
-
-                log = logging.getLogger("grespipe.infoprovider")
-                log.warning("event=refresh outcome=error error=%r", exc, exc_info=True)
-                continue  # keep serving the previous document
-            self._httpd.info_document = document  # type: ignore[union-attr]
-
-    @property
-    def url(self) -> str:
-        if self._httpd is None:
-            raise RuntimeError("server not started")
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-        for thread in self._threads:
-            thread.join(timeout=5)
-        self._threads = []
-
-    def __enter__(self) -> "InfoServer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-def serve_info(record_source: Callable[[], ClusterSnapshot], endpoint_config: SiteConfig) -> InfoServer:
+def serve_info(record_source: Callable[[], ClusterSnapshot], endpoint_config: SiteConfig):
     """Start the info endpoint and return the running server handle.
 
-    Raises :class:`BindFailure` when the configured address cannot be bound.
+    The handle's ``url`` is ``http://host:port`` with the bound port, and
+    ``stop()`` shuts the endpoint down and closes its socket; used as a
+    context manager, it stops on exit.  Raises :class:`BindFailure` when
+    the configured address cannot be bound.
     """
-    return InfoServer(record_source, endpoint_config).start()
+    from ._httpd import InfoServer
+
+    return InfoServer(record_source, endpoint_config)

@@ -184,7 +184,7 @@ def parse_xrsl(text: str) -> JobDescription:
             fields["job_name"] = _single(name, values, position)
         elif key == "count":
             value = _single(name, values, position)
-            if not value.isdigit() or int(value) < 1:
+            if not (value.isascii() and value.isdigit()) or int(value) < 1:
                 raise XrslSyntaxError(f"count must be a positive integer, got {value!r}", position)
             fields["count"] = int(value)
         elif key == "runtimeenvironment":

@@ -6,6 +6,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import urllib.request
 from pathlib import Path
 
@@ -512,6 +513,39 @@ def test_bad_clock_value_is_input_error(argv, value, tmp_path, capsys, monkeypat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"grespipe: error: bad GRESPIPE_NOW value: {value!r}\n"
+
+
+@pytest.fixture
+def not_http_url():
+    """URL of a loopback socket that answers one request with a line that is not HTTP."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def answer():
+            conn, _addr = listener.accept()
+            with conn:
+                conn.recv(4096)
+                conn.sendall(b"garbage\r\n\r\n")
+
+        server = threading.Thread(target=answer, daemon=True)
+        server.start()
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}/info"
+        server.join(timeout=5)
+    assert not server.is_alive()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["arcinfo", "{url}"], ["arcsub", str(data.HELLO_XRSL), "--spool-dir", "{spool}", "--match", "{url}"]],
+    ids=["arcinfo", "match"],
+)
+def test_non_http_exchange_is_input_error(argv, not_http_url, tmp_path, capsys):
+    cases = [(not_http_url, "BadStatusLine"), ("http://127.0.0.1:notaport/info", "InvalidURL")]
+    for url, error in cases:
+        assert main([arg.format(url=url, spool=tmp_path / "spool") for arg in argv]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"grespipe: error: cannot fetch {url}: {error}(")
+    assert not (tmp_path / "spool").exists()
 
 
 # Stdlib modules a grespipe command must not load unless it serves, fetches

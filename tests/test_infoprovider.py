@@ -253,6 +253,24 @@ class TestServeInfo:
         expected = render_glue2_xml(build_computing_service(backend.collect(), site_config))
         assert body.decode("utf-8") == expected
 
+    def test_exit_stops_every_thread_and_frees_the_port(self, kebnekaise_fixture, site_config):
+        before = set(threading.enumerate())
+        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), self._config(site_config)) as server:
+            with urllib.request.urlopen(server.url + "/info", timeout=5) as response:
+                response.read()
+            port = int(server.url.rsplit(":", 1)[1])
+        # Connection handlers are daemon threads that stop() does not join,
+        # so give the one that served the GET a moment to return.
+        deadline = time.monotonic() + 5
+        while set(threading.enumerate()) - before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert set(threading.enumerate()) - before == set()
+        # The served connection leaves the port in TIME_WAIT, hence SO_REUSEADDR.
+        with socket.socket() as again:
+            again.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            again.bind(("127.0.0.1", port))
+            again.listen(1)
+
     def test_bind_failure(self, kebnekaise_fixture, site_config):
         blocker = socket.socket()
         try:

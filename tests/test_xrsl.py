@@ -127,6 +127,11 @@ class TestErrors:
             parse_xrsl('&(executable="a")(count=zero)')
         with pytest.raises(XrslSyntaxError):
             parse_xrsl('&(executable="a")(count=0)')
+        # "٣" (Arabic-Indic three) and "²" pass str.isdigit; only ASCII digits count.
+        for value in ("٣", '"²"'):
+            with pytest.raises(XrslSyntaxError) as excinfo:
+                parse_xrsl(f'&(executable="a")(count={value})')
+            assert excinfo.value.position == len('&(executable="a")')
 
     def test_single_value_attributes_reject_lists(self):
         with pytest.raises(XrslSyntaxError):
