@@ -1,7 +1,7 @@
 """Client side of the pipeline: fetch the info document, parse it back into
 computing-manager records, and format them the way ``arcinfo`` prints them.
 
-``urllib`` and ``xml.etree`` are imported by the functions that use them,
+``http.client`` and ``xml.etree`` are imported by the functions that use them,
 so a command that neither fetches nor parses does not load them.
 """
 
@@ -146,37 +146,36 @@ def format_arcinfo(records: list[ComputingServiceRecord]) -> str:
 
 
 def fetch_info(url: str, timeout: float = 10.0) -> str:
-    """Fetch an info document over plain HTTP and return its body.
+    """Fetch an info document with one plain-HTTP GET and return its body.
 
-    Raises :class:`Unreachable` on connection failure or a non-HTTP answer,
-    :class:`BadStatus` on a non-200 answer, :class:`BadContentType` when the
+    Redirects are not followed and proxy variables are not read.  Raises
+    :class:`Unreachable` on connection failure or a non-HTTP answer,
+    :class:`BadStatus` on any non-200 answer, :class:`BadContentType` when the
     response is not XML, :class:`DocumentTooLarge` when the body exceeds
     :data:`MAX_DOCUMENT_BYTES` and :class:`FetchError` when the body ends
     before its ``Content-Length``.
     """
     import http.client
-    import urllib.error
-    import urllib.parse
-    import urllib.request
+    from contextlib import closing
+    from urllib.parse import urlsplit
 
-    scheme = urllib.parse.urlsplit(url).scheme
-    if scheme != "http":
+    parts = urlsplit(url)
+    if parts.scheme != "http":
         raise ValueError(f"http URL required, got {url!r}")
-    request = urllib.request.Request(url, headers={"Accept": "application/xml"})
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            status = response.status
-            content_type = response.headers.get("Content-Type", "")
-            body = response.read(MAX_DOCUMENT_BYTES + 1)
-            missing = response.length  # bytes the Content-Length promised but never came
-    except urllib.error.HTTPError as exc:
-        raise BadStatus(exc.code) from exc
-    except (urllib.error.URLError, OSError) as exc:
+        with closing(http.client.HTTPConnection(parts.netloc, timeout=timeout)) as connection:
+            connection.request("GET", target, headers={"Accept": "application/xml"})
+            with connection.getresponse() as response:
+                if response.status != 200:
+                    raise BadStatus(response.status)
+                content_type = response.headers.get("Content-Type", "")
+                body = response.read(MAX_DOCUMENT_BYTES + 1)
+                missing = response.length  # bytes the Content-Length promised but never came
+    except OSError as exc:
         raise Unreachable(f"cannot reach {url}: {exc}") from exc
     except http.client.HTTPException as exc:  # a bad port in the URL, or an answer that is not HTTP
         raise Unreachable(f"cannot fetch {url}: {exc!r}") from exc
-    if status != 200:
-        raise BadStatus(status)
     if len(body) > MAX_DOCUMENT_BYTES:
         raise DocumentTooLarge(f"{url}: document exceeds {MAX_DOCUMENT_BYTES} bytes")
     if missing:

@@ -57,14 +57,11 @@ class BindFailure(Exception):
 
 
 def split_bind(bind: str) -> tuple[str, int]:
-    """Split a ``host:port`` string; raises :class:`BadConfig` on bad input or a port outside 0-65535."""
+    """Split ``host:port``; raises :class:`BadConfig` on bad input or a port not ASCII digits in 0-65535."""
     host, sep, port_text = bind.rpartition(":")
     if not sep or not host:
         raise BadConfig(f"bind must be host:port, got {bind!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        port = -1
+    port = int(port_text) if port_text.isascii() and port_text.isdigit() else -1
     if not 0 <= port <= 65535:
         raise BadConfig(f"bad port in bind {bind!r}")
     return host, port

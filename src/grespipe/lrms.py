@@ -140,9 +140,9 @@ class ClusterSnapshot:
 def load_fixture(path: str | Path, cluster_name: str | None = None) -> ClusterFixture:
     """Load a cluster fixture from a line-oriented text file.
 
-    One record per line, ``partition|node_count|gres_line``; lines starting
-    with ``#`` and blank lines are ignored.  The cluster name defaults to the
-    file's stem.
+    One record per line, ``partition|node_count|gres_line`` with an ASCII
+    digit ``node_count``; lines starting with ``#`` and blank lines are
+    ignored.  The cluster name defaults to the file's stem.
     """
     path = Path(path)
     node_classes = []
@@ -151,11 +151,9 @@ def load_fixture(path: str | Path, cluster_name: str | None = None) -> ClusterFi
         if len(fields) != 3:
             raise InvalidFixture(f"{where}: expected partition|node_count|gres_line")
         partition, count_text, gres_line = (field.strip() for field in fields)
-        try:
-            node_count = int(count_text)
-        except ValueError as exc:
-            raise InvalidFixture(f"{where}: bad node count {count_text!r}") from exc
-        node_classes.append(NodeClass(partition, node_count, gres_line))
+        if not (count_text.isascii() and count_text.isdigit()):
+            raise InvalidFixture(f"{where}: bad node count {count_text!r}")
+        node_classes.append(NodeClass(partition, int(count_text), gres_line))
     fixture = ClusterFixture(cluster_name or path.stem, tuple(node_classes))
     fixture.validate()
     return fixture

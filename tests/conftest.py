@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
 import random
+import socket
 import string
+import threading
+from pathlib import Path
 
 import pytest
 
+import grespipe
 from grespipe import data
 from grespipe.infoprovider import SiteConfig
 from grespipe.lrms import ClusterFixture, NodeClass, load_fixture
@@ -25,6 +31,32 @@ PREFIXED_LINES = [f"gresinfo={line}" for line in SINFO_BARE_LINES]
 
 TOKEN_CHARS = string.ascii_lowercase + string.digits + "_-."
 ESCAPABLE_CHARS = "&<>\"'"
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a Python child that imports the same grespipe as this
+    suite, installed or not."""
+    src = str(Path(grespipe.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+@contextlib.contextmanager
+def answer_once(reply: bytes):
+    """Yield the port of a loopback listener that answers one request with ``reply``."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def answer():
+            conn, _addr = listener.accept()
+            with conn:
+                conn.recv(4096)
+                conn.sendall(reply)
+
+        server = threading.Thread(target=answer, daemon=True)
+        server.start()
+        yield listener.getsockname()[1]
+        server.join(timeout=5)
+    assert not server.is_alive()
 
 
 @pytest.fixture

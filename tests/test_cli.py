@@ -6,30 +6,20 @@ import signal
 import socket
 import subprocess
 import sys
-import threading
 import urllib.request
 from pathlib import Path
 
 import pytest
 
-import grespipe
 from grespipe import client, data
 from grespipe.cli import EXIT_ENV, EXIT_INPUT, EXIT_OK, EXIT_REFUSED, main
 from grespipe.infoprovider import SiteConfig, build_computing_service, render_glue2_xml, serve_info
 from grespipe.lrms import SlurmFixtureBackend, collect_cluster_info, load_fixture
 
-from conftest import PREFIXED_LINES, RESOURCE_LINES, SINFO_BARE_LINES
+from conftest import PREFIXED_LINES, RESOURCE_LINES, SINFO_BARE_LINES, answer_once, child_env
 
 # Byte-exact outputs of the shipped samples, shared with the benchmark.
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
-
-
-def _child_env() -> dict[str, str]:
-    """Environment for a ``python -m grespipe`` child that imports the same
-    grespipe as this suite, installed or not."""
-    src = str(Path(grespipe.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": pythonpath}
 
 
 def _run_child(argv: list[str]) -> subprocess.CompletedProcess:
@@ -38,7 +28,7 @@ def _run_child(argv: list[str]) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "grespipe", *argv],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env(),
         timeout=60,
     )
 
@@ -136,25 +126,25 @@ class TestInfoprovider:
         assert proc.stdout == ""
 
     def test_serve_shuts_down_cleanly_on_sigint(self):
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "grespipe", "infoprovider", "--serve", "--bind", "127.0.0.1:0"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-            env=_child_env(),
-        )
-        try:
-            line = proc.stdout.readline().strip()
-            assert line.startswith("serving on http://")
-            url = line.removeprefix("serving on ")
-            with urllib.request.urlopen(url + "/healthz", timeout=5) as response:
-                assert response.read() == b"ok"
-            proc.send_signal(signal.SIGINT)
-            assert proc.wait(timeout=10) == EXIT_OK
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
+            env=child_env(),
+        ) as proc:
+            try:
+                line = proc.stdout.readline().strip()
+                assert line.startswith("serving on http://")
+                url = line.removeprefix("serving on ")
+                with urllib.request.urlopen(url + "/healthz", timeout=5) as response:
+                    assert response.read() == b"ok"
+                proc.send_signal(signal.SIGINT)
+                assert proc.wait(timeout=10) == EXIT_OK
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
 
 
 class TestArcinfo:
@@ -446,7 +436,7 @@ def test_closed_stdout_is_env_error_without_traceback(argv):
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
-            env=_child_env(),
+            env=child_env(),
             timeout=60,
         )
     finally:
@@ -518,19 +508,8 @@ def test_bad_clock_value_is_input_error(argv, value, tmp_path, capsys, monkeypat
 @pytest.fixture
 def not_http_url():
     """URL of a loopback socket that answers one request with a line that is not HTTP."""
-    with socket.create_server(("127.0.0.1", 0)) as listener:
-
-        def answer():
-            conn, _addr = listener.accept()
-            with conn:
-                conn.recv(4096)
-                conn.sendall(b"garbage\r\n\r\n")
-
-        server = threading.Thread(target=answer, daemon=True)
-        server.start()
-        yield f"http://127.0.0.1:{listener.getsockname()[1]}/info"
-        server.join(timeout=5)
-    assert not server.is_alive()
+    with answer_once(b"garbage\r\n\r\n") as port:
+        yield f"http://127.0.0.1:{port}/info"
 
 
 @pytest.mark.parametrize(
@@ -584,7 +563,7 @@ def _loaded_modules(argv: list[str]) -> tuple[int, set[str]]:
         [sys.executable, "-c", _LIST_MODULES, *argv],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env(),
         check=True,
         timeout=60,
     )
@@ -599,7 +578,7 @@ def bare_modules() -> set[str]:
         [sys.executable, "-c", "import sys; print('\\n'.join(sys.modules))"],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env(),
         check=True,
         timeout=60,
     )

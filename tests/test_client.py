@@ -1,8 +1,11 @@
 """Tests for info-document parsing, report formatting and fetching."""
 
 import dataclasses
+import gc
 import socket
-import threading
+import subprocess
+import sys
+import warnings
 from xml.etree import ElementTree
 
 import pytest
@@ -31,7 +34,7 @@ from grespipe.infoprovider import (
 )
 from grespipe.lrms import SlurmFixtureBackend
 
-from conftest import RESOURCE_LINES
+from conftest import RESOURCE_LINES, answer_once, child_env
 
 # Wire-format sample with comment placeholders where a full publisher would
 # emit additional entities.
@@ -220,6 +223,18 @@ class TestFormatArcinfo:
         assert len(block_lines) == (len(resources) + 1 if resources else 0)
 
 
+# For ``python -c``: writes the document fetched from ``sys.argv[1]`` to stdout.
+_PRINT_FETCHED = (
+    "import sys; from grespipe.client import fetch_info; sys.stdout.write(fetch_info(sys.argv[1], 2))"
+)
+
+
+def _assert_never_contacted(listener: socket.socket) -> None:
+    listener.setblocking(False)
+    with pytest.raises(BlockingIOError):  # no pending connection, so no bytes were sent to it
+        listener.accept()
+
+
 class TestFetchInfo:
     def test_loopback_fetch_matches_served_document(self, kebnekaise_fixture, site_config):
         backend = SlurmFixtureBackend(kebnekaise_fixture)
@@ -256,25 +271,57 @@ class TestFetchInfo:
         assert isinstance(excinfo.value, FetchError)
 
     def test_truncated_body_rejected(self):
-        listener = socket.create_server(("127.0.0.1", 0))
         head = b"HTTP/1.0 200 OK\r\nContent-Type: application/xml\r\nContent-Length: 100\r\n\r\n"
-
-        def answer_short():
-            conn, _addr = listener.accept()
-            with conn:
-                conn.recv(4096)
-                conn.sendall(head + b"<InfoRoot>")
-
-        server = threading.Thread(target=answer_short, daemon=True)
-        server.start()
-        try:
-            port = listener.getsockname()[1]
+        with answer_once(head + b"<InfoRoot>") as port:
             with pytest.raises(FetchError, match="body ended after 10 of 100 bytes"):
                 fetch_info(f"http://127.0.0.1:{port}/info", timeout=5)
-        finally:
-            server.join(timeout=5)
-            listener.close()
-        assert not server.is_alive()
+
+    def test_redirect_is_bad_status_and_not_followed(self):
+        with socket.create_server(("127.0.0.1", 0)) as elsewhere:
+            location = f"http://127.0.0.1:{elsewhere.getsockname()[1]}/info"
+            reply = f"HTTP/1.0 302 Found\r\nLocation: {location}\r\nContent-Length: 0\r\n\r\n"
+            with answer_once(reply.encode("ascii")) as port:
+                with pytest.raises(BadStatus) as excinfo:
+                    fetch_info(f"http://127.0.0.1:{port}/info", timeout=2)
+            assert excinfo.value.status == 302
+            _assert_never_contacted(elsewhere)
+
+    def test_proxy_variables_are_not_read(self, kebnekaise_fixture, site_config, monkeypatch):
+        backend = SlurmFixtureBackend(kebnekaise_fixture)
+        config = dataclasses.replace(site_config, bind="127.0.0.1:0")
+        with socket.create_server(("127.0.0.1", 0)) as proxy:
+            for name in ("http_proxy", "HTTP_PROXY"):
+                monkeypatch.setenv(name, f"http://127.0.0.1:{proxy.getsockname()[1]}")
+            for name in ("no_proxy", "NO_PROXY"):
+                monkeypatch.delenv(name, raising=False)
+            with serve_info(backend, config) as server:
+                # A fresh interpreter, so nothing this process read from the environment earlier is reused.
+                child = subprocess.run(
+                    [sys.executable, "-c", _PRINT_FETCHED, server.url + "/info"],
+                    capture_output=True,
+                    text=True,
+                    env=child_env(),
+                    timeout=30,
+                )
+            _assert_never_contacted(proxy)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == render_glue2_xml(build_computing_service(backend.collect(), site_config))
+
+    def test_bad_status_leaves_no_unclosed_socket(self, kebnekaise_fixture, site_config):
+        def fetch_missing(url):
+            with pytest.raises(BadStatus) as excinfo:
+                fetch_info(url)
+            # excinfo -> traceback -> this frame -> excinfo: only the collector frees the error,
+            # in no set order, so a socket left open behind it is finalized unclosed.
+            assert excinfo.value.status == 404
+
+        config = dataclasses.replace(site_config, bind="127.0.0.1:0")
+        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), config) as server:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                fetch_missing(server.url + "/nonexistent")
+                gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_unreachable_port(self):
         probe = socket.socket()

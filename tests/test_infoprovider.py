@@ -69,7 +69,14 @@ class TestSiteConfig:
                 SiteConfig.from_mapping({**base, "refresh_interval_seconds": value})
 
     def test_bad_bind(self):
-        for bind in ["no-port", "host:notaport", "127.0.0.1:70000", "127.0.0.1:-1"]:
+        for bind in [
+            "no-port",
+            "host:notaport",
+            "127.0.0.1:70000",
+            "127.0.0.1:-1",
+            "127.0.0.1:٨٠٧٠",
+            "127.0.0.1: 8_070",
+        ]:
             with pytest.raises(BadConfig):
                 split_bind(bind)
 
@@ -237,6 +244,7 @@ class TestServeInfo:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(server.url + "/nonexistent", timeout=5)
             assert excinfo.value.code == 404
+            excinfo.value.close()
 
     def test_idle_connection_is_closed(self, kebnekaise_fixture, site_config, monkeypatch):
         monkeypatch.setattr(infoprovider, "HANDLER_TIMEOUT_SECONDS", 0.5)

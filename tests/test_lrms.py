@@ -176,9 +176,10 @@ class TestLoadFixture:
 
     def test_bad_node_count(self, tmp_path):
         path = tmp_path / "bad.fixture"
-        path.write_text("main|many|gpu:1\n")
-        with pytest.raises(InvalidFixture):
-            load_fixture(path)
+        for count in ["many", "٣", "1_0", "+3"]:
+            path.write_text(f"main|{count}|gpu:1\n", encoding="utf-8")
+            with pytest.raises(InvalidFixture, match="bad node count"):
+                load_fixture(path)
 
     def test_bad_gres_line(self, tmp_path):
         path = tmp_path / "bad.fixture"
