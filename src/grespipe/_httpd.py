@@ -54,7 +54,8 @@ class InfoServer(ThreadingHTTPServer):
     def __init__(self, record_source: Callable[[], ClusterSnapshot], config: infoprovider.SiteConfig):
         self._collect = record_source
         self._config = config
-        self.document = self._build_document()  # before binding, so a failure leaves nothing open
+        self._gres = None  # the gres the served document was rendered from
+        self._refresh()  # before binding, so a failure leaves nothing open
         try:
             super().__init__(infoprovider.split_bind(config.bind), InfoRequestHandler)
         except OSError as exc:
@@ -65,21 +66,26 @@ class InfoServer(ThreadingHTTPServer):
         for thread in self._loops:
             thread.start()
 
-    def _build_document(self) -> bytes:
-        record = infoprovider.build_computing_service(self._collect(), self._config)
-        return infoprovider.render_glue2_xml(record).encode("utf-8")
+    def _refresh(self) -> None:
+        """Collect a snapshot; build and render it only when its gres differ
+        from the served document's, the one input that can change."""
+        snapshot = self._collect()
+        if snapshot.gres == self._gres:
+            return
+        record = infoprovider.build_computing_service(snapshot, self._config)
+        self.document = infoprovider.render_glue2_xml(record).encode("utf-8")
+        self._gres = snapshot.gres
 
     def _refresh_loop(self) -> None:
         while not self._stop.wait(self._config.refresh_interval_seconds):
             try:
-                document = self._build_document()
+                self._refresh()
             except Exception as exc:
                 import logging
 
                 log = logging.getLogger("grespipe.infoprovider")
                 log.warning("event=refresh outcome=error error=%r", exc, exc_info=True)
-                continue  # keep serving the previous document
-            self.document = document
+                # keep serving the previous document
 
     @property
     def url(self) -> str:

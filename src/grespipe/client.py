@@ -84,9 +84,10 @@ def parse_execution_targets(xml_text: str) -> list[ComputingServiceRecord]:
     except ElementTree.ParseError as exc:
         raise MalformedXml(str(exc)) from exc
     parent_of = {child: parent for parent in root.iter() for child in parent}
+    domain_of: dict = {}
     records = []
     for service in root.iter("ComputingService"):
-        admin_domain = _enclosing_admin_domain(service, parent_of)
+        admin_domain = _enclosing_admin_domain(service, parent_of, domain_of)
         service_id = service.get("id", "")
         managers = list(service.iter("ComputingManager"))
         if not managers:
@@ -112,13 +113,21 @@ def parse_execution_targets(xml_text: str) -> list[ComputingServiceRecord]:
     return records
 
 
-def _enclosing_admin_domain(element, parent_of) -> str:
+def _enclosing_admin_domain(element, parent_of, domain_of) -> str:
+    """The ``id`` of the nearest ``AdminDomain`` at or above ``element``.  The
+    elements passed are remembered in ``domain_of``, where later walks stop,
+    so all walks together take time linear in the document's size."""
+    passed = []
     node = element
-    while node is not None:
+    while node is not None and node not in domain_of:
         if node.tag == "AdminDomain":
-            return node.get("id", "")
+            domain_of[node] = node.get("id", "")
+            break
+        passed.append(node)
         node = parent_of.get(node)
-    return ""
+    domain = domain_of.get(node, "")  # "" when the walk passed the root
+    domain_of.update(dict.fromkeys(passed, domain))
+    return domain
 
 
 def format_arcinfo(records: list[ComputingServiceRecord]) -> str:
@@ -138,11 +147,12 @@ def format_arcinfo(records: list[ComputingServiceRecord]) -> str:
         lines.append(header)
         lines.append("  Batch System Information:")
         if record.manager.general_resources:
-            lines.append("    General resources:")
-            lines.extend(f"      {resource}" for resource in record.manager.general_resources)
+            # One join per manager: the header and its resources, each on an indented line.
+            lines.append("\n      ".join(("    General resources:", *record.manager.general_resources)))
     if not lines:
         return ""
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def fetch_info(url: str, timeout: float = 10.0) -> str:
@@ -153,7 +163,8 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
     :class:`BadStatus` on any non-200 answer, :class:`BadContentType` when the
     response is not XML, :class:`DocumentTooLarge` when the body exceeds
     :data:`MAX_DOCUMENT_BYTES` and :class:`FetchError` when the body ends
-    before its ``Content-Length``.
+    before its ``Content-Length``.  A URL that is not ``http://`` or that
+    carries user information (``user@host``) raises :class:`ValueError`.
     """
     import http.client
     from contextlib import closing
@@ -162,6 +173,8 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
     parts = urlsplit(url)
     if parts.scheme != "http":
         raise ValueError(f"http URL required, got {url!r}")
+    if "@" in parts.netloc:  # else http.client looks up ``user@host`` as the host name
+        raise ValueError("user information (user@host) in an info URL is not supported")
     target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
     try:
         with closing(http.client.HTTPConnection(parts.netloc, timeout=timeout)) as connection:

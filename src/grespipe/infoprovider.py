@@ -19,7 +19,6 @@ by the first failure.
 
 from __future__ import annotations
 
-import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,7 +41,7 @@ __all__ = [
 
 _REQUIRED_KEYS = ("admin_domain", "service_id", "manager_name")
 _ALL_KEYS = _REQUIRED_KEYS + ("bind", "refresh_interval_seconds")
-_CONTROL_CHAR_RE = re.compile(r"[\x00-\x1f]")
+_CONTROL_CHARS = tuple(map(chr, range(0x20)))
 # An idle or stalled connection is dropped after this long, so it cannot
 # hold a server thread for good.
 HANDLER_TIMEOUT_SECONDS = 10.0
@@ -128,8 +127,10 @@ class ComputingManagerRecord:
         resources = self.general_resources
         if "" in resources:
             raise ValueError("general_resources must not contain empty strings")
-        if _CONTROL_CHAR_RE.search("".join(resources)):
-            resource = next(r for r in resources if _CONTROL_CHAR_RE.search(r))
+        joined = "".join(resources)
+        # One memchr-speed ``in`` scan per code point beats a regex class over the whole text.
+        if any(char in joined for char in _CONTROL_CHARS):
+            resource = next(r for r in resources if any(char in r for char in _CONTROL_CHARS))
             raise ValueError(f"resource string contains control characters: {resource!r}")
 
 
@@ -193,31 +194,31 @@ def render_glue2_xml(record: ComputingServiceRecord) -> str:
     """
     record.validate()
     resources = record.manager.general_resources
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        "<InfoRoot>",
-        "  <Domains>",
-        f"    <AdminDomain id={_quoteattr(record.admin_domain)}>",
-        "      <Services>",
-        f"        <ComputingService id={_quoteattr(record.service_id)}>",
-        f"          <ComputingManager id={_quoteattr(record.manager.manager_name)}>",
-    ]
-    if resources:
-        lines.append("            <GeneralResources>")
-        lines.extend(f"              <Resource>{_escape(resource)}</Resource>" for resource in resources)
-        lines.append("            </GeneralResources>")
-    else:
-        lines.append("            <GeneralResources/>")
-    lines += [
-        "          </ComputingManager>",
-        "        </ComputingService>",
-        "      </Services>",
-        "    </AdminDomain>",
-        "  </Domains>",
-        "</InfoRoot>",
-        "",
-    ]
-    return "\n".join(lines)
+    head = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        "<InfoRoot>\n"
+        "  <Domains>\n"
+        f"    <AdminDomain id={_quoteattr(record.admin_domain)}>\n"
+        "      <Services>\n"
+        f"        <ComputingService id={_quoteattr(record.service_id)}>\n"
+        f"          <ComputingManager id={_quoteattr(record.manager.manager_name)}>\n"
+    )
+    tail = (
+        "          </ComputingManager>\n"
+        "        </ComputingService>\n"
+        "      </Services>\n"
+        "    </AdminDomain>\n"
+        "  </Domains>\n"
+        "</InfoRoot>\n"
+    )
+    if not resources:
+        return f"{head}            <GeneralResources/>\n{tail}"
+    # Validation rules out a newline inside a resource, so one pass escapes them
+    # all; splitting, not replacing, keeps the document the only large string.
+    parts = _escape("\n".join(resources)).split("\n")
+    parts[0] = f"{head}            <GeneralResources>\n              <Resource>{parts[0]}"
+    parts[-1] += f"</Resource>\n            </GeneralResources>\n{tail}"
+    return "</Resource>\n              <Resource>".join(parts)
 
 
 def serve_info(record_source: Callable[[], ClusterSnapshot], endpoint_config: SiteConfig):

@@ -31,6 +31,10 @@ PREFIXED_LINES = [f"gresinfo={line}" for line in SINFO_BARE_LINES]
 
 TOKEN_CHARS = string.ascii_lowercase + string.digits + "_-."
 ESCAPABLE_CHARS = "&<>\"'"
+# Printable ASCII, which includes ``& < > " '``, plus a Latin-1 letter and a
+# character outside the Basic Multilingual Plane: the characters a
+# whole-string rewrite of the renderer or the report must carry unchanged.
+PRINTABLE_WIDE_CHARS = [chr(code) for code in range(32, 127)] + ["\u00e9", "\U0001d11e"]
 
 
 def child_env() -> dict[str, str]:

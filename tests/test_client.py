@@ -5,6 +5,7 @@ import gc
 import socket
 import subprocess
 import sys
+import time
 import warnings
 from xml.etree import ElementTree
 
@@ -34,7 +35,7 @@ from grespipe.infoprovider import (
 )
 from grespipe.lrms import SlurmFixtureBackend
 
-from conftest import RESOURCE_LINES, answer_once, child_env
+from conftest import PRINTABLE_WIDE_CHARS, RESOURCE_LINES, answer_once, child_env
 
 # Wire-format sample with comment placeholders where a full publisher would
 # emit additional entities.
@@ -141,6 +142,21 @@ class TestParseExecutionTargets:
         records = parse_execution_targets(document)
         assert [r.manager.general_resources for r in records] == [("gpu:v100:2",)]
 
+    def test_deep_chain_of_services_parses_in_linear_time(self):
+        # 20,000 services at the bottom of a 20,000-deep chain: walking up
+        # from each service without remembering the chain took tens of seconds.
+        depth = 20_000
+        document = (
+            "<InfoRoot><AdminDomain id='outer'>" + "<x>" * depth + "<ComputingService/>" * depth
+            + "<AdminDomain id='inner'><ComputingService/></AdminDomain>" + "</x>" * depth
+            + "</AdminDomain></InfoRoot>"
+        )
+        start = time.perf_counter()
+        records = parse_execution_targets(document)
+        elapsed = time.perf_counter() - start
+        assert [r.admin_domain for r in records] == ["outer"] * depth + ["inner"]
+        assert elapsed < 5, f"parse took {elapsed:.1f} s"
+
 
 _resource_text = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126),
@@ -221,6 +237,40 @@ class TestFormatArcinfo:
             if line.startswith("      ") or line.strip() == "General resources:"
         ]
         assert len(block_lines) == (len(resources) + 1 if resources else 0)
+
+
+def _reference_format_arcinfo(records):
+    """The report as it was first written: one template line per resource."""
+    lines = []
+    for record in records:
+        header = "Computing service:"
+        if record.service_id:
+            header += f" {record.service_id}"
+        lines.append(header)
+        lines.append("  Batch System Information:")
+        if record.manager.general_resources:
+            lines.append("    General resources:")
+            lines.extend(f"      {resource}" for resource in record.manager.general_resources)
+    if not lines:
+        return ""
+    return "\n".join(lines) + "\n"
+
+
+_WIDE_TEXT = st.text(alphabet=st.sampled_from(PRINTABLE_WIDE_CHARS), max_size=12)
+
+
+@given(
+    st.lists(
+        st.tuples(_WIDE_TEXT, st.lists(_WIDE_TEXT.filter(bool), max_size=6)),
+        max_size=4,
+    )
+)
+def test_format_matches_per_resource_reference(services):
+    records = [
+        ComputingServiceRecord("dom", service_id, ComputingManagerRecord("slurm", tuple(resources)))
+        for service_id, resources in services
+    ]
+    assert format_arcinfo(records) == _reference_format_arcinfo(records)
 
 
 # For ``python -c``: writes the document fetched from ``sys.argv[1]`` to stdout.

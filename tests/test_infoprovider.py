@@ -31,7 +31,7 @@ from grespipe.infoprovider import (
 )
 from grespipe.lrms import ClusterSnapshot, SlurmFixtureBackend, collect_cluster_info, read_gres_info
 
-from conftest import RESOURCE_LINES, random_fixture
+from conftest import PRINTABLE_WIDE_CHARS, RESOURCE_LINES, random_fixture
 
 SPINE = "Domains/AdminDomain/Services/ComputingService/ComputingManager"
 
@@ -182,12 +182,14 @@ class TestRenderXml:
         assert _resources_of(document) == resources
 
 
-_ASCII_AND_E_ACUTE = st.sampled_from([chr(code) for code in range(0x80)] + ["\u00e9"])
+# ASCII, a Latin-1 letter and a character outside the Basic Multilingual Plane.
+_ASCII_E_ACUTE_AND_ASTRAL = st.sampled_from([chr(code) for code in range(0x80)] + ["\u00e9", "\U0001d11e"])
 
 
-@given(st.lists(st.text(alphabet=_ASCII_AND_E_ACUTE, min_size=1, max_size=12), max_size=8))
+@given(st.lists(st.text(alphabet=_ASCII_E_ACUTE_AND_ASTRAL, min_size=1, max_size=12), max_size=8))
 @example(["gpu:1", "gpu\x7f"])
 @example(["gpu:1", "gpu\x1f", "\x00"])
+@example(["\U0001d11e:1", "\u00e9\x1f\U0001d11e"])
 def test_manager_validate_rejects_exactly_control_characters(resources):
     record = ComputingManagerRecord("slurm", tuple(resources))
     offenders = [r for r in resources if any(ord(ch) < 0x20 for ch in r)]
@@ -197,6 +199,47 @@ def test_manager_validate_rejects_exactly_control_characters(resources):
     with pytest.raises(ValueError) as excinfo:
         record.validate()
     assert str(excinfo.value) == f"resource string contains control characters: {offenders[0]!r}"
+
+
+def _reference_render(record):
+    """The document as it was first rendered: one template line per resource."""
+    record.validate()
+    resources = record.manager.general_resources
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        "<InfoRoot>",
+        "  <Domains>",
+        f"    <AdminDomain id={saxutils.quoteattr(record.admin_domain)}>",
+        "      <Services>",
+        f"        <ComputingService id={saxutils.quoteattr(record.service_id)}>",
+        f"          <ComputingManager id={saxutils.quoteattr(record.manager.manager_name)}>",
+    ]
+    if resources:
+        lines.append("            <GeneralResources>")
+        lines.extend(f"              <Resource>{saxutils.escape(resource)}</Resource>" for resource in resources)
+        lines.append("            </GeneralResources>")
+    else:
+        lines.append("            <GeneralResources/>")
+    lines += [
+        "          </ComputingManager>",
+        "        </ComputingService>",
+        "      </Services>",
+        "    </AdminDomain>",
+        "  </Domains>",
+        "</InfoRoot>",
+        "",
+    ]
+    return "\n".join(lines)
+
+
+_PRINTABLE_TEXT = st.text(alphabet=st.sampled_from(PRINTABLE_WIDE_CHARS), min_size=1, max_size=12)
+
+
+@given(_PRINTABLE_TEXT, _PRINTABLE_TEXT, _PRINTABLE_TEXT, st.lists(_PRINTABLE_TEXT, max_size=8))
+@example("d", "s", "m", ["a&b", "<c>", "\"'", "\u00e9\U0001d11e"])
+def test_render_matches_per_resource_reference(domain, service, manager, resources):
+    record = ComputingServiceRecord(domain, service, ComputingManagerRecord(manager, tuple(resources)))
+    assert render_glue2_xml(record) == _reference_render(record)
 
 
 @given(st.text(alphabet="\"'&<>\n\r\t\u00e9a "))
@@ -336,6 +379,43 @@ class TestServeInfo:
             for thread in threads:
                 thread.join()
         assert errors == []
+
+    def test_refresh_renders_only_when_gres_change(self, site_config, monkeypatch):
+        model = ["k80"]
+        collected_at = []
+        renders = []
+        render = infoprovider.render_glue2_xml
+
+        def counting_render(record):
+            renders.append(record.manager.general_resources)
+            return render(record)
+
+        def source():
+            # A fresh tuple of fresh strings on every call, and a new
+            # collection time: only the content decides.
+            collected_at.append(len(collected_at))
+            return ClusterSnapshot("counted", (f"gpu:{model[0]}:2", "hbm:16G"), collected_at[-1])
+
+        def wait_for(condition):
+            deadline = time.monotonic() + 5
+            while not condition() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert condition()
+
+        monkeypatch.setattr(infoprovider, "render_glue2_xml", counting_render)
+        config = self._config(site_config, refresh_interval_seconds=0.005)
+        with serve_info(source, config) as server:
+            with urllib.request.urlopen(server.url + "/info", timeout=5) as response:
+                first = response.read()
+            wait_for(lambda: len(collected_at) > 20)
+            assert renders == [("gpu:k80:2", "hbm:16G")]
+            model[0] = "v100"
+            wait_for(lambda: len(renders) == 2)
+            with urllib.request.urlopen(server.url + "/info", timeout=5) as response:
+                second = response.read()
+        assert renders == [("gpu:k80:2", "hbm:16G"), ("gpu:v100:2", "hbm:16G")]
+        assert first == render(build_computing_service(ClusterSnapshot("c", renders[0], 0), site_config)).encode()
+        assert second == render(build_computing_service(ClusterSnapshot("c", renders[1], 0), site_config)).encode()
 
     def test_refresh_survives_collection_failure(self, site_config, caplog):
         flips = itertools.count()
