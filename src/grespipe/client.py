@@ -67,12 +67,18 @@ class DocumentTooLarge(FetchError):
 def parse_execution_targets(xml_text: str) -> list[ComputingServiceRecord]:
     """Parse an info document into computing-service records.
 
-    The walk is lenient: ComputingService elements are found at any depth,
-    unknown siblings are ignored, and one record is produced per
-    (service, manager) pair.  Each Resource text node under a manager's
-    GeneralResources is appended in document order; an absent or empty
-    GeneralResources yields an empty list.  A service without managers
-    produces a single record with an empty manager.
+    The walk is lenient: spine elements are found at any depth and unknown
+    elements are ignored.  Every ComputingService yields one record per
+    ComputingManager whose nearest enclosing service it is, in document
+    order, or a single record with an empty manager when it has none; its
+    admin domain is the ``id`` of its nearest enclosing AdminDomain.  Each
+    Resource element appears in at most one record: under the manager of
+    its outermost enclosing GeneralResources, in document order, so an
+    absent or empty GeneralResources yields an empty list.  Spine elements
+    inside a GeneralResources are not looked for; a manager outside every
+    service, and a GeneralResources outside every such manager, is ignored.
+    Each element is visited at most once, so the time is linear in the
+    document's size.
 
     Raises :class:`MalformedXml` for non-well-formed input and
     :class:`NoServices` when no ComputingService element exists.
@@ -83,51 +89,37 @@ def parse_execution_targets(xml_text: str) -> list[ComputingServiceRecord]:
         root = ElementTree.fromstring(xml_text)
     except ElementTree.ParseError as exc:
         raise MalformedXml(str(exc)) from exc
-    parent_of = {child: parent for parent in root.iter() for child in parent}
-    domain_of: dict = {}
-    records = []
-    for service in root.iter("ComputingService"):
-        admin_domain = _enclosing_admin_domain(service, parent_of, domain_of)
-        service_id = service.get("id", "")
-        managers = list(service.iter("ComputingManager"))
-        if not managers:
-            records.append(
-                ComputingServiceRecord(admin_domain, service_id, ComputingManagerRecord(""))
-            )
+    services = []  # (admin domain, service id, [(manager id, [resource, ...]), ...])
+    # Pre-order walk; a frame's context is (admin domain, the enclosing
+    # service's manager list, the enclosing manager's resource list).
+    stack = [(root, ("", None, None))]
+    while stack:
+        element, context = stack.pop()
+        domain, managers, resources = context
+        tag = element.tag
+        if tag == "GeneralResources":
+            if resources is not None:  # the block's iter() gathers every Resource below it
+                resources += [resource.text or "" for resource in element.iter("Resource")]
             continue
-        for manager in managers:
-            resources = [
-                resource.text or ""
-                for block in manager.iter("GeneralResources")
-                for resource in block.iter("Resource")
-            ]
-            records.append(
-                ComputingServiceRecord(
-                    admin_domain,
-                    service_id,
-                    ComputingManagerRecord(manager.get("id", ""), tuple(resources)),
-                )
-            )
-    if not records:  # every service yields at least one record
+        if tag == "AdminDomain":
+            context = (element.get("id", ""), managers, resources)
+        elif tag == "ComputingService":
+            managers = []
+            services.append((domain, element.get("id", ""), managers))
+            context = (domain, managers, resources)
+        elif tag == "ComputingManager" and managers is not None:
+            resources = []
+            managers.append((element.get("id", ""), resources))
+            context = (domain, managers, resources)
+        # Children go on in reverse, so they come off in document order.
+        stack.extend(zip(reversed(element), [context] * len(element)))
+    if not services:
         raise NoServices("document contains no ComputingService element")
-    return records
-
-
-def _enclosing_admin_domain(element, parent_of, domain_of) -> str:
-    """The ``id`` of the nearest ``AdminDomain`` at or above ``element``.  The
-    elements passed are remembered in ``domain_of``, where later walks stop,
-    so all walks together take time linear in the document's size."""
-    passed = []
-    node = element
-    while node is not None and node not in domain_of:
-        if node.tag == "AdminDomain":
-            domain_of[node] = node.get("id", "")
-            break
-        passed.append(node)
-        node = parent_of.get(node)
-    domain = domain_of.get(node, "")  # "" when the walk passed the root
-    domain_of.update(dict.fromkeys(passed, domain))
-    return domain
+    return [
+        ComputingServiceRecord(domain, service_id, ComputingManagerRecord(manager_id, tuple(resources)))
+        for domain, service_id, managers in services
+        for manager_id, resources in managers or [("", ())]
+    ]
 
 
 def format_arcinfo(records: list[ComputingServiceRecord]) -> str:

@@ -168,6 +168,19 @@ class TestArcinfo:
         assert main(["arcinfo", str(path)]) == EXIT_OK
         assert "General resources:" not in capsys.readouterr().out
 
+    def test_nested_blocks_print_each_resource_once(self, tmp_path, capsys):
+        depth = 2_000
+        path = tmp_path / "info.xml"
+        path.write_text(
+            "<InfoRoot><ComputingService><ComputingManager>"
+            + "".join(f"<GeneralResources><Resource>gpu:{i}</Resource>" for i in range(depth))
+            + "</GeneralResources>" * depth
+            + "</ComputingManager></ComputingService></InfoRoot>"
+        )
+        assert main(["arcinfo", str(path)]) == EXIT_OK
+        resource_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("      ")]
+        assert resource_lines == [f"      gpu:{i}" for i in range(depth)]
+
     def test_no_services_is_refusal(self, tmp_path):
         path = tmp_path / "info.xml"
         path.write_text("<InfoRoot/>")

@@ -157,6 +157,51 @@ class TestParseExecutionTargets:
         assert [r.admin_domain for r in records] == ["outer"] * depth + ["inner"]
         assert elapsed < 5, f"parse took {elapsed:.1f} s"
 
+    def test_nested_elements_attach_to_their_nearest_ancestors(self):
+        document = (
+            "<InfoRoot><AdminDomain id='d1'><ComputingService id='s1'><ComputingManager id='m1'>"
+            "<GeneralResources><Resource>a</Resource></GeneralResources>"
+            "<ComputingService id='s2'>"
+            "<GeneralResources><Resource>b</Resource></GeneralResources>"
+            "<ComputingManager id='m2'><GeneralResources><Resource>c</Resource>"
+            "<GeneralResources><Resource>d</Resource></GeneralResources>"
+            "<ComputingService id='in-block'/></GeneralResources></ComputingManager>"
+            "</ComputingService></ComputingManager></ComputingService></AdminDomain>"
+            "<ComputingManager id='orphan'><GeneralResources><Resource>e</Resource>"
+            "</GeneralResources></ComputingManager></InfoRoot>"
+        )
+        records = parse_execution_targets(document)
+        assert records == [
+            ComputingServiceRecord("d1", "s1", ComputingManagerRecord("m1", ("a", "b"))),
+            ComputingServiceRecord("d1", "s2", ComputingManagerRecord("m2", ("c", "d"))),
+        ]
+
+    @pytest.mark.parametrize(
+        "head, nested, tail, records, resources",
+        [
+            ("", "<ComputingService>", "", 20_000, 0),
+            ("<ComputingService>", "<ComputingManager>", "</ComputingService>", 20_000, 0),
+            (
+                "<ComputingService><ComputingManager>",
+                "<GeneralResources><Resource>gpu:1</Resource>",
+                "</ComputingManager></ComputingService>",
+                1,
+                20_000,
+            ),
+        ],
+        ids=["services", "managers", "blocks"],
+    )
+    def test_nesting_counts_each_element_once(self, head, nested, tail, records, resources):
+        depth = 20_000
+        closing = nested[: nested.index(">") + 1].replace("<", "</")
+        document = f"<InfoRoot>{head}{nested * depth}{closing * depth}{tail}</InfoRoot>"
+        start = time.perf_counter()
+        parsed = parse_execution_targets(document)
+        elapsed = time.perf_counter() - start
+        assert len(parsed) == records
+        assert sum(len(r.manager.general_resources) for r in parsed) == resources
+        assert elapsed < 5, f"parse took {elapsed:.1f} s"
+
 
 _resource_text = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126),
@@ -194,6 +239,84 @@ def test_injected_elements_do_not_change_resources(resources, seed):
     mutated = ElementTree.tostring(root, encoding="unicode")
     parsed = parse_execution_targets(mutated)
     assert list(parsed[0].manager.general_resources) == resources
+
+
+_TREE_TAGS = (
+    "InfoRoot", "AdminDomain", "ComputingService", "ComputingManager", "GeneralResources", "Resource", "Unknown",
+)
+
+
+def _random_tree(nodes) -> ElementTree.Element:
+    """Each node hangs below the element ``back`` places before the newest
+    one, so small numbers nest deeply.  Every Resource text is unique."""
+    root = ElementTree.Element("InfoRoot")
+    elements = [root]
+    for index, (back, tag, element_id, text) in enumerate(nodes):
+        element = ElementTree.SubElement(elements[-1 - back % len(elements)], tag)
+        if element_id is not None:
+            element.set("id", element_id)
+        element.text = f"resource-{index}" if tag == "Resource" else text
+        elements.append(element)
+    return root
+
+
+def _oracle_records(root) -> list[ComputingServiceRecord]:
+    """The parse contract, spelled out with a parent map and nearest-ancestor lookups."""
+    parent_of = {child: parent for parent in root.iter() for child in parent}
+
+    def nearest(element, tag):
+        element = parent_of.get(element)
+        while element is not None and element.tag != tag:
+            element = parent_of.get(element)
+        return element
+
+    def outside_blocks(tag):
+        return [e for e in root.iter(tag) if nearest(e, "GeneralResources") is None]
+
+    managers = outside_blocks("ComputingManager")
+    blocks = outside_blocks("GeneralResources")
+    records = []
+    for service in outside_blocks("ComputingService"):
+        domain = nearest(service, "AdminDomain")
+        domain_id = "" if domain is None else domain.get("id", "")
+        own = [m for m in managers if nearest(m, "ComputingService") is service]
+        for manager in own:
+            resources = tuple(
+                resource.text or ""
+                for block in blocks
+                if nearest(block, "ComputingManager") is manager
+                for resource in block.iter("Resource")
+            )
+            manager_record = ComputingManagerRecord(manager.get("id", ""), resources)
+            records.append(ComputingServiceRecord(domain_id, service.get("id", ""), manager_record))
+        if not own:
+            records.append(ComputingServiceRecord(domain_id, service.get("id", ""), ComputingManagerRecord("")))
+    return records
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.sampled_from(_TREE_TAGS),
+            st.sampled_from([None, "", "a", "b"]),
+            st.sampled_from([None, "", "noise"]),
+        ),
+        max_size=60,
+    )
+)
+def test_parse_matches_nearest_ancestor_oracle(nodes):
+    root = _random_tree(nodes)
+    expected = _oracle_records(root)
+    document = ElementTree.tostring(root, encoding="unicode")
+    if not expected:
+        with pytest.raises(NoServices):
+            parse_execution_targets(document)
+        return
+    parsed = parse_execution_targets(document)
+    assert parsed == expected
+    texts = [text for record in parsed for text in record.manager.general_resources]
+    assert len(texts) == len(set(texts))  # no Resource element is counted twice
 
 
 class TestFormatArcinfo:
