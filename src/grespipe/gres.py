@@ -34,6 +34,9 @@ __all__ = [
 
 _COUNT_RE = re.compile(r"[0-9]+[KMGTP]?\Z")
 _SUFFIX_RANK = {"K": 1, "M": 2, "G": 3, "T": 4, "P": 5}
+# How the parser builds the frozen entries and lists it has already checked.
+_new = object.__new__
+_set_field = object.__setattr__
 
 
 class GresParseError(ValueError):
@@ -157,7 +160,8 @@ def parse_gres_expression(text: str) -> GresList:
 
     Raises :class:`EmptySegment`, :class:`MalformedCount` or
     :class:`TooManyFields`; empty fields inside a segment (``gpu:`` or
-    ``:v100``) report as :class:`EmptySegment`.
+    ``:v100``) report as :class:`EmptySegment`, and a count with more digits
+    than ``int`` converts as :class:`MalformedCount`.
     """
     if text == "":
         return GresList()
@@ -188,9 +192,25 @@ def parse_gres_expression(text: str) -> GresList:
             literal = tokens[2]
             if not _COUNT_RE.fullmatch(literal):
                 raise MalformedCount(f"bad count {literal!r} in {segment!r}", index)
-        count = _count_value(literal) if literal is not None else 1
-        entries.append(GresEntry(name, subtype, count, literal))
-    return GresList(tuple(entries))
+        count = 1
+        if literal is not None:
+            try:
+                count = _count_value(literal)
+            except ValueError:  # more digits than int() will convert
+                raise MalformedCount(
+                    f"count of {len(literal)} characters in {name!r} is too long", index
+                ) from None
+        # Every invariant __post_init__ enforces holds here, so the fields are
+        # set directly rather than checked a second time.
+        entry = _new(GresEntry)
+        _set_field(entry, "name", name)
+        _set_field(entry, "subtype", subtype)
+        _set_field(entry, "count", count)
+        _set_field(entry, "count_literal", literal)
+        entries.append(entry)
+    gres_list = _new(GresList)
+    _set_field(gres_list, "entries", tuple(entries))
+    return gres_list
 
 
 def render_gres_expression(gres_list: GresList) -> str:

@@ -102,6 +102,10 @@ class SubmitScript:
         for directive in self.directives:
             if not directive.startswith("#SBATCH "):
                 raise ValueError(f"directive must start with '#SBATCH ': {directive!r}")
+            # sbatch stops reading directives at the first line that is not
+            # one, so a line break would silently drop every directive after it.
+            if "\n" in directive or "\r" in directive:
+                raise ValueError(f"directive must be a single line: {directive!r}")
 
     def render(self) -> str:
         lines = ["#!/bin/bash", *self.directives, "", self.payload]

@@ -150,7 +150,7 @@ def load_fixture(path: str | Path, cluster_name: str | None = None) -> ClusterFi
         fields = line.split("|", 2)
         if len(fields) != 3:
             raise InvalidFixture(f"{where}: expected partition|node_count|gres_line")
-        partition, count_text, gres_line = (field.strip() for field in fields)
+        partition, count_text, gres_line = fields[0].strip(), fields[1].strip(), fields[2].strip()
         if not (count_text.isascii() and count_text.isdigit()):
             raise InvalidFixture(f"{where}: bad node count {count_text!r}")
         node_classes.append(NodeClass(partition, int(count_text), gres_line))

@@ -7,6 +7,7 @@ import os
 import random
 import socket
 import string
+import sys
 import threading
 from pathlib import Path
 
@@ -61,6 +62,18 @@ def answer_once(reply: bytes):
         yield listener.getsockname()[1]
         server.join(timeout=5)
     assert not server.is_alive()
+
+
+@pytest.fixture
+def int_digits_limit():
+    """Pin the interpreter's int-from-string digit limit to CPython's default
+    (``PYTHONINTMAXSTRDIGITS`` may lift it) for one test, and return it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts digit strings of any length")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(previous)
 
 
 @pytest.fixture

@@ -266,6 +266,15 @@ class TestArcsub:
     def test_missing_xrsl_file(self, tmp_path):
         assert main(["arcsub", str(tmp_path / "nope.xrsl")]) == EXIT_INPUT
 
+    def test_line_break_in_job_name_spools_nothing(self, tmp_path, capsys):
+        xrsl = tmp_path / "job.xrsl"
+        xrsl.write_text('&(executable="a")(jobName="x\necho INJECTED #")')
+        spool = tmp_path / "spool"
+        assert main(["arcsub", str(xrsl), "--spool-dir", str(spool)]) == EXIT_INPUT
+        directive = "#SBATCH --job-name='x\necho INJECTED #'"
+        assert capsys.readouterr().err == f"grespipe: error: directive must be a single line: {directive!r}\n"
+        assert not spool.exists()
+
 
 class TestMatchmakingFlow:
     @pytest.fixture

@@ -1,5 +1,7 @@
 """Tests for the GRES expression grammar and model."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -87,6 +89,15 @@ class TestParse:
     def test_error_carries_segment_index(self):
         with pytest.raises(EmptySegment) as excinfo:
             parse_gres_expression("gpu:1,,mps:1")
+        assert excinfo.value.segment_index == 1
+
+    @pytest.mark.parametrize("form", ["gpu:{}", "gpu:k80:{}", "gpu:{}K"])
+    def test_count_beyond_int_digit_limit_is_malformed(self, int_digits_limit, form):
+        at_limit = parse_gres_expression(form.format("9" * int_digits_limit))
+        assert at_limit.entries[0].count >= 10**int_digits_limit - 1
+        overlong = "9" * (int_digits_limit + 1)
+        with pytest.raises(MalformedCount, match="too long") as excinfo:
+            parse_gres_expression("mps:1," + form.format(overlong))
         assert excinfo.value.segment_index == 1
 
 
@@ -197,6 +208,38 @@ def test_suffix_arithmetic(number, suffix):
     rank = {"": 0, "K": 1, "M": 2, "G": 3, "T": 4, "P": 5}[suffix]
     entry = parse_gres_expression(f"res:{number}{suffix}").entries[0]
     assert entry.count == number * 1024**rank
+
+
+def _assert_parsed_like_constructed(parsed: GresList) -> None:
+    for entry in parsed:
+        rebuilt = GresEntry(entry.name, entry.subtype, entry.count, entry.count_literal)
+        assert rebuilt == entry
+        assert hash(rebuilt) == hash(entry)
+        assert repr(rebuilt) == repr(entry)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.count = entry.count + 1
+    rebuilt_list = GresList(tuple(parsed.entries))
+    assert rebuilt_list == parsed
+    assert hash(rebuilt_list) == hash(parsed)
+    assert repr(rebuilt_list) == repr(parsed)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        parsed.entries = ()
+
+
+@given(_expression)
+def test_parsed_entries_pass_the_public_constructors(text):
+    """The parser builds entries without re-running their checks; every
+    entry it makes must still be one the checked constructors accept."""
+    _assert_parsed_like_constructed(parse_gres_expression(text))
+
+
+@given(st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=127), max_size=64))
+def test_parsed_ascii_passes_the_public_constructors(text):
+    try:
+        parsed = parse_gres_expression(text)
+    except GresParseError:
+        return
+    _assert_parsed_like_constructed(parsed)
 
 
 @given(st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=127), max_size=256))

@@ -192,6 +192,17 @@ class TestGenerateScript:
         with pytest.raises(ValueError):
             SubmitScript(("--gres=gpu:1",), "payload")
 
+    @pytest.mark.parametrize("line_break", ["\n", "\r"])
+    def test_directive_line_break_rejected(self, line_break):
+        with pytest.raises(ValueError, match="directive must be a single line"):
+            SubmitScript((f"#SBATCH --job-name=x{line_break}echo INJECTED #", "#SBATCH --ntasks=1"), "a")
+
+    @pytest.mark.parametrize("field", ["job_name", "stdout_name", "stderr_name"])
+    def test_line_break_in_job_field_rejected(self, field):
+        job = JobDescription("a", **{field: "x\necho INJECTED #"})
+        with pytest.raises(ValueError, match="directive must be a single line"):
+            generate_submit_script(JobOptions(job))
+
 
 class TestMatchTarget:
     def test_k80_request_fits(self):
@@ -339,6 +350,14 @@ class TestAdvertisedGres:
         ]
         verdict = match_target(request, advertised_gres(_records(chunks), request))
         assert verdict == brute_force_match(raw_request, raw_classes)
+
+    def test_overlong_count_line_is_skipped(self, int_digits_limit):
+        overlong = "gpu:k80:" + "9" * (int_digits_limit + 1)
+        request = parse_gres_expression("gpu:k80:2")
+        fits = _records([[overlong, "gpu:k80:1"], ["gpu:k80:4"]])
+        assert match_target(request, advertised_gres(fits, request)) is True
+        too_small = _records([[overlong, "gpu:k80:1"]])
+        assert match_target(request, advertised_gres(too_small, request)) is False
 
     @pytest.fixture
     def kebnekaise_records(self, kebnekaise_fixture, site_config):

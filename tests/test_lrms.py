@@ -187,6 +187,23 @@ class TestLoadFixture:
         with pytest.raises(InvalidFixture):
             load_fixture(path)
 
+    def test_overlong_gres_count_names_its_partition(self, tmp_path, int_digits_limit):
+        path = tmp_path / "bad.fixture"
+        digits = int_digits_limit + 1
+        path.write_text(f"main|1|gpu:1\nwide|2|mps:1,gpu:{'9' * digits}\n")
+        expected = rf"partition 'wide': bad gres line .*segment 1: count of {digits} characters"
+        with pytest.raises(InvalidFixture, match=expected):
+            load_fixture(path)
+
+    def test_fields_keep_inner_text_and_lose_edge_blanks(self, tmp_path):
+        path = tmp_path / "spaced.fixture"
+        path.write_text("  main part \t|  4 | gpu:2,mps:1  \nextra|1|(null)\n")
+        fixture = load_fixture(path)
+        assert fixture.node_classes == (
+            NodeClass("main part", 4, "gpu:2,mps:1"),
+            NodeClass("extra", 1, "(null)"),
+        )
+
 
 class TestBackends:
     def test_fixture_backend(self, kebnekaise_fixture):
