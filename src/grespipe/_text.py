@@ -1,9 +1,17 @@
-"""File readers shared by the CLI and the fixture, config and manifest loaders."""
+"""Readers shared by the CLI, the XRSL parser and the fixture, config and manifest loaders."""
 
 from __future__ import annotations
 
 from pathlib import Path
 from typing import Iterator
+
+
+def ascii_int(text: str) -> int | None:
+    """Return ``text`` as an int if it is ASCII digits ``int()`` converts, else ``None``."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than int() will convert
+        return None
 
 
 def read_text(path: Path, error: type[Exception]) -> str:
@@ -15,23 +23,20 @@ def read_text(path: Path, error: type[Exception]) -> str:
         raise error(f"cannot read {path}: {exc}") from exc
 
 
-def content_lines(path: Path, error: type[Exception]) -> Iterator[tuple[str, str]]:
-    """Yield ``(where, line)``, ``where`` being ``path:lineno``, for each
-    stripped line that is not blank or a ``#`` comment; raise ``error`` as
-    :func:`read_text` does."""
-    text = read_text(path, error)
-    name = str(path)  # formatting a Path per line costs twice as much
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def content_lines(path: Path, error: type[Exception]) -> Iterator[tuple[int, str]]:
+    """Yield ``(lineno, line)`` for each stripped line that is not blank or a
+    ``#`` comment; raise ``error`` as :func:`read_text` does."""
+    for lineno, raw in enumerate(read_text(path, error).splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
-            yield f"{name}:{lineno}", line
+            yield lineno, line
 
 
-def key_values(path: Path, error: type[Exception]) -> Iterator[tuple[str, str, str]]:
-    """Yield ``(where, key, value)`` per ``key = value`` line, in file order
+def key_values(path: Path, error: type[Exception]) -> Iterator[tuple[int, str, str]]:
+    """Yield ``(lineno, key, value)`` per ``key = value`` line, in file order
     (repeated keys included); raise ``error`` for a line without ``=``."""
-    for where, line in content_lines(path, error):
+    for lineno, line in content_lines(path, error):
         key, sep, value = line.partition("=")
         if not sep:
-            raise error(f"{where}: expected key = value")
-        yield where, key.strip(), value.strip()
+            raise error(f"{path}:{lineno}: expected key = value")
+        yield lineno, key.strip(), value.strip()

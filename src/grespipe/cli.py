@@ -96,9 +96,9 @@ def _clock() -> float | None:
 
 def _load_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    for where, key, value in key_values(path, CliInputError):
+    for lineno, key, value in key_values(path, CliInputError):
         if key not in _SETTINGS:
-            raise CliInputError(f"{where}: unknown key {key!r}")
+            raise CliInputError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
 

@@ -94,18 +94,9 @@ class GresEntry:
     count_literal: str | None = None
 
     def __post_init__(self) -> None:
-        _check_token("name", self.name)
-        if self.subtype is not None:
-            _check_token("subtype", self.subtype)
-        if self.count < 0:
-            raise ValueError(f"negative count: {self.count}")
-        if self.count_literal is None:
-            if self.count != 1:
-                raise ValueError("an entry without a count literal defaults to count 1")
-        elif expand_count(self.count_literal) != self.count:
-            raise ValueError(
-                f"count {self.count} does not match literal {self.count_literal!r}"
-            )
+        # The parser builds its entries without this check, so this does not recurse.
+        if parse_gres_expression(str(self)).entries != (self,):
+            raise ValueError(f"{self!r} does not parse back from {str(self)!r}")
 
     @property
     def count_suffix(self) -> str | None:
@@ -121,13 +112,6 @@ class GresEntry:
         if self.count_literal is not None:
             parts.append(self.count_literal)
         return ":".join(parts)
-
-
-def _check_token(label: str, value: str) -> None:
-    if not value:
-        raise ValueError(f"{label} must be non-empty")
-    if ":" in value or "," in value:
-        raise ValueError(f"{label} must not contain ':' or ',': {value!r}")
 
 
 @dataclass(frozen=True)
@@ -200,8 +184,6 @@ def parse_gres_expression(text: str) -> GresList:
                 raise MalformedCount(
                     f"count of {len(literal)} characters in {name!r} is too long", index
                 ) from None
-        # Every invariant __post_init__ enforces holds here, so the fields are
-        # set directly rather than checked a second time.
         entry = _new(GresEntry)
         _set_field(entry, "name", name)
         _set_field(entry, "subtype", subtype)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Union
 
-from ._text import key_values
+from ._text import ascii_int, key_values
 from .lrms import ClusterSnapshot
 
 __all__ = [
@@ -60,8 +60,8 @@ def split_bind(bind: str) -> tuple[str, int]:
     host, sep, port_text = bind.rpartition(":")
     if not sep or not host:
         raise BadConfig(f"bind must be host:port, got {bind!r}")
-    port = int(port_text) if port_text.isascii() and port_text.isdigit() else -1
-    if not 0 <= port <= 65535:
+    port = ascii_int(port_text)
+    if port is None or port > 65535:
         raise BadConfig(f"bad port in bind {bind!r}")
     return host, port
 
@@ -104,7 +104,7 @@ class SiteConfig:
     def from_file(cls, path: str | Path) -> "SiteConfig":
         """Load ``key = value`` lines; ``#`` comments and blanks are ignored."""
         lines = key_values(Path(path), BadConfig)
-        return cls.from_mapping({key: value for _where, key, value in lines})
+        return cls.from_mapping({key: value for _lineno, key, value in lines})
 
 
 @dataclass(frozen=True)

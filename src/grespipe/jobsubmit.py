@@ -119,15 +119,15 @@ def load_rte_manifest(path: str | Path) -> RteManifest:
     path = Path(path)
     name: str | None = None
     properties: list[str] = []
-    for where, key, value in key_values(path, RteManifestError):
+    for lineno, key, value in key_values(path, RteManifestError):
         if key == "name":
             name = value
         elif key == "node_properties":
             if not value:
-                raise RteManifestError(f"{where}: empty node property")
+                raise RteManifestError(f"{path}:{lineno}: empty node property")
             properties.append(value)
         else:
-            raise RteManifestError(f"{where}: unknown key {key!r}")
+            raise RteManifestError(f"{path}:{lineno}: unknown key {key!r}")
     if not name:
         raise RteManifestError(f"{path}: manifest declares no name")
     try:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from ._text import content_lines
+from ._text import ascii_int, content_lines
 from .gres import GresParseError, parse_gres_expression
 
 __all__ = [
@@ -146,14 +146,15 @@ def load_fixture(path: str | Path, cluster_name: str | None = None) -> ClusterFi
     """
     path = Path(path)
     node_classes = []
-    for where, line in content_lines(path, InvalidFixture):
+    for lineno, line in content_lines(path, InvalidFixture):
         fields = line.split("|", 2)
         if len(fields) != 3:
-            raise InvalidFixture(f"{where}: expected partition|node_count|gres_line")
+            raise InvalidFixture(f"{path}:{lineno}: expected partition|node_count|gres_line")
         partition, count_text, gres_line = fields[0].strip(), fields[1].strip(), fields[2].strip()
-        if not (count_text.isascii() and count_text.isdigit()):
-            raise InvalidFixture(f"{where}: bad node count {count_text!r}")
-        node_classes.append(NodeClass(partition, int(count_text), gres_line))
+        count = ascii_int(count_text)
+        if count is None:
+            raise InvalidFixture(f"{path}:{lineno}: bad node count {count_text!r}")
+        node_classes.append(NodeClass(partition, count, gres_line))
     fixture = ClusterFixture(cluster_name or path.stem, tuple(node_classes))
     fixture.validate()
     return fixture

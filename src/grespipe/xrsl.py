@@ -18,6 +18,8 @@ import re
 import warnings
 from dataclasses import dataclass
 
+from ._text import ascii_int
+
 __all__ = [
     "JobDescription",
     "XrslError",
@@ -28,7 +30,8 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_BARE_WORD_END = set(' \t\r\n()"=')
+_BARE_WORD_RE = re.compile(r'[^ \t\r\n()"=]+')
+_GAP_RE = re.compile(r"\s*")
 
 
 class XrslError(Exception):
@@ -70,85 +73,57 @@ class JobDescription:
             raise ValueError("count must be at least 1")
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        """Skip whitespace and ``(* ... *)`` comments."""
-        while self.pos < len(self.text):
-            if self.text[self.pos].isspace():
-                self.pos += 1
-            elif self.text.startswith("(*", self.pos):
-                closing = self.text.find("*)", self.pos + 2)
-                if closing == -1:
-                    raise XrslSyntaxError("unterminated comment", self.pos)
-                self.pos = closing + 2
-            else:
-                return
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos]
-
-    def expect(self, char: str, what: str) -> None:
-        if self.at_end() or self.text[self.pos] != char:
-            raise XrslSyntaxError(f"expected {what}", self.pos)
-        self.pos += 1
-
-    def read_name(self) -> str:
-        match = _NAME_RE.match(self.text, self.pos)
-        if not match:
-            raise XrslSyntaxError("expected attribute name", self.pos)
-        self.pos = match.end()
-        return match.group()
-
-    def read_value(self) -> str:
-        if self.peek() == '"':
-            closing = self.text.find('"', self.pos + 1)
-            if closing == -1:
-                raise XrslSyntaxError("unterminated string", self.pos)
-            value = self.text[self.pos + 1 : closing]
-            self.pos = closing + 1
-            return value
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in _BARE_WORD_END:
-            self.pos += 1
-        if self.pos == start:
-            raise XrslSyntaxError("expected a value", self.pos)
-        return self.text[start : self.pos]
+def _skip(text: str, pos: int) -> int:
+    """Return the offset after the whitespace and ``(* ... *)`` comments at ``pos``."""
+    pos = _GAP_RE.match(text, pos).end()
+    while text.startswith("(*", pos):
+        closing = text.find("*)", pos + 2)
+        if closing == -1:
+            raise XrslSyntaxError("unterminated comment", pos)
+        pos = _GAP_RE.match(text, closing + 2).end()
+    return pos
 
 
 def _read_clauses(text: str) -> list[tuple[str, list[str], int]]:
-    scanner = _Scanner(text)
-    scanner.skip_ws()
-    scanner.expect("&", "'&'")
+    pos = _skip(text, 0)
+    if not text.startswith("&", pos):
+        raise XrslSyntaxError("expected '&'", pos)
     clauses = []
-    while True:
-        scanner.skip_ws()
-        if scanner.at_end():
-            return clauses
-        clause_start = scanner.pos
-        scanner.expect("(", "'('")
-        scanner.skip_ws()
-        name = scanner.read_name()
-        scanner.skip_ws()
-        scanner.expect("=", "'='")
+    pos = _skip(text, pos + 1)
+    while pos < len(text):
+        clause_start = pos
+        if text[pos] != "(":
+            raise XrslSyntaxError("expected '('", pos)
+        pos = _skip(text, pos + 1)
+        name = _NAME_RE.match(text, pos)
+        if not name:
+            raise XrslSyntaxError("expected attribute name", pos)
+        pos = _skip(text, name.end())
+        if not text.startswith("=", pos):
+            raise XrslSyntaxError("expected '='", pos)
         values = []
-        while True:
-            scanner.skip_ws()
-            if scanner.at_end():
+        pos = _skip(text, pos + 1)
+        while not text.startswith(")", pos):
+            if pos == len(text):
                 raise XrslSyntaxError("unbalanced parentheses", clause_start)
-            if scanner.peek() == ")":
-                scanner.pos += 1
-                break
-            if scanner.peek() == "(":
-                raise XrslSyntaxError("unexpected '('", scanner.pos)
-            values.append(scanner.read_value())
-        clauses.append((name, values, clause_start))
+            if text[pos] == "(":
+                raise XrslSyntaxError("unexpected '('", pos)
+            if text[pos] == '"':
+                closing = text.find('"', pos + 1)
+                if closing == -1:
+                    raise XrslSyntaxError("unterminated string", pos)
+                values.append(text[pos + 1 : closing])
+                pos = closing + 1
+            else:
+                word = _BARE_WORD_RE.match(text, pos)
+                if not word:
+                    raise XrslSyntaxError("expected a value", pos)
+                values.append(word.group())
+                pos = word.end()
+            pos = _skip(text, pos)
+        clauses.append((name.group(), values, clause_start))
+        pos = _skip(text, pos + 1)
+    return clauses
 
 
 def _single(name: str, values: list[str], position: int) -> str:
@@ -184,9 +159,10 @@ def parse_xrsl(text: str) -> JobDescription:
             fields["job_name"] = _single(name, values, position)
         elif key == "count":
             value = _single(name, values, position)
-            if not (value.isascii() and value.isdigit()) or int(value) < 1:
+            count = ascii_int(value)
+            if count is None or count < 1:
                 raise XrslSyntaxError(f"count must be a positive integer, got {value!r}", position)
-            fields["count"] = int(value)
+            fields["count"] = count
         elif key == "runtimeenvironment":
             fields["runtime_environments"].append(_single(name, values, position))
         elif key == "stdout":

@@ -145,6 +145,10 @@ class TestEntryInvariants:
     def test_rejects_literal_count_mismatch(self):
         with pytest.raises(ValueError):
             GresEntry("gpu", None, 5, "4")
+        # A subtype that reads as a count literal would render as a count.
+        for subtype in ["4", "16G"]:
+            with pytest.raises(ValueError):
+                GresEntry("gpu", subtype)
 
     def test_rejects_nondefault_count_without_literal(self):
         with pytest.raises(ValueError):

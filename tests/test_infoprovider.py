@@ -76,6 +76,7 @@ class TestSiteConfig:
             "127.0.0.1:-1",
             "127.0.0.1:٨٠٧٠",
             "127.0.0.1: 8_070",
+            "127.0.0.1:" + "9" * 5000,
         ]:
             with pytest.raises(BadConfig):
                 split_bind(bind)

@@ -174,11 +174,11 @@ class TestLoadFixture:
         with pytest.raises(InvalidFixture):
             load_fixture(path)
 
-    def test_bad_node_count(self, tmp_path):
+    def test_bad_node_count(self, tmp_path, int_digits_limit):
         path = tmp_path / "bad.fixture"
-        for count in ["many", "٣", "1_0", "+3"]:
+        for count in ["many", "٣", "1_0", "+3", "9" * 5000]:
             path.write_text(f"main|{count}|gpu:1\n", encoding="utf-8")
-            with pytest.raises(InvalidFixture, match="bad node count"):
+            with pytest.raises(InvalidFixture, match=f"^{re.escape(str(path))}:1: bad node count"):
                 load_fixture(path)
 
     def test_bad_gres_line(self, tmp_path):

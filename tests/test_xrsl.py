@@ -84,6 +84,45 @@ class TestParse:
         assert job.executable == "a"
 
 
+# Malformed input -> exact message and offset, one or more per raise site.
+XRSL_ERRORS = [
+    ("", "expected '&' at offset 0", 0),
+    ("  (executable=a)", "expected '&' at offset 2", 2),
+    ("&x", "expected '(' at offset 1", 1),
+    ("&(executable=a)x", "expected '(' at offset 15", 15),
+    ("&(=a)", "expected attribute name at offset 2", 2),
+    ("&(1x=a)", "expected attribute name at offset 2", 2),
+    ('&(executable "a")', "expected '=' at offset 13", 13),
+    ('&(executable="a"', "unbalanced parentheses at offset 1", 1),
+    ("&(executable=a", "unbalanced parentheses at offset 1", 1),
+    ("&(executable=(a))", "unexpected '(' at offset 13", 13),
+    ('&(executable="a)', "unterminated string at offset 13", 13),
+    ("&(executable==a)", "expected a value at offset 13", 13),
+    ("(* note &(executable=a)", "unterminated comment at offset 0", 0),
+    ("& (* note (executable=a)", "unterminated comment at offset 2", 2),
+    ("&(*)(executable=a)", "unterminated comment at offset 1", 1),
+    ("&(executable=a (* note)", "unterminated comment at offset 15", 15),
+    ("&(executable=a)(* trailing", "unterminated comment at offset 15", 15),
+    ('&(executable="a" "b")', "attribute 'executable' takes exactly one value at offset 1", 1),
+    ("&(executable=)", "attribute 'executable' takes exactly one value at offset 1", 1),
+    (
+        '\u3000&\u3000(\u3000executable\u3000=\u3000"a"\u3000"b")',
+        "attribute 'executable' takes exactly one value at offset 3",
+        3,
+    ),
+    (
+        '&(executable=a\x0bb (* c *) "x(*y*)")',
+        "attribute 'executable' takes exactly one value at offset 1",
+        1,
+    ),
+    ('&(executable="a")(arguments=)', "attribute 'arguments' takes values at offset 17", 17),
+    ('&(executable="a")(count=1 2)', "attribute 'count' takes exactly one value at offset 17", 17),
+    ('&(executable="a")(count=0)', "count must be a positive integer, got '0' at offset 17", 17),
+    ('&(executable="a")(count=zero)', "count must be a positive integer, got 'zero' at offset 17", 17),
+    ('&(executable="a")(count="\u0663")', "count must be a positive integer, got '\u0663' at offset 17", 17),
+]
+
+
 class TestErrors:
     def test_missing_executable(self):
         with pytest.raises(MissingExecutable):
@@ -122,13 +161,14 @@ class TestErrors:
         with pytest.raises(XrslSyntaxError):
             parse_xrsl("&(executable=(nested))")
 
-    def test_bad_count(self):
+    def test_bad_count(self, int_digits_limit):
         with pytest.raises(XrslSyntaxError):
             parse_xrsl('&(executable="a")(count=zero)')
         with pytest.raises(XrslSyntaxError):
             parse_xrsl('&(executable="a")(count=0)')
         # "٣" (Arabic-Indic three) and "²" pass str.isdigit; only ASCII digits count.
-        for value in ("٣", '"²"'):
+        # Nor do more digits than int() converts (the limit is pinned to 4300).
+        for value in ("٣", '"²"', "9" * 5000):
             with pytest.raises(XrslSyntaxError) as excinfo:
                 parse_xrsl(f'&(executable="a")(count={value})')
             assert excinfo.value.position == len('&(executable="a")')
@@ -142,6 +182,12 @@ class TestErrors:
             parse_xrsl("&(=x)")
         assert "offset" in str(excinfo.value)
         assert excinfo.value.position == 2
+
+    @pytest.mark.parametrize(("text", "message", "position"), XRSL_ERRORS)
+    def test_error_table(self, text, message, position):
+        with pytest.raises(XrslSyntaxError) as excinfo:
+            parse_xrsl(text)
+        assert (str(excinfo.value), excinfo.value.position) == (message, position)
 
 
 _value = st.text(
