@@ -28,10 +28,9 @@ import time
 import warnings
 from pathlib import Path
 
-from . import data
+from . import client, data
 from .client import ClientError, NoServices, fetch_info, format_arcinfo, parse_execution_targets
 from ._text import key_values, read_text
-from .gres import GresParseError
 from .infoprovider import BadConfig, BindFailure, SiteConfig, build_computing_service, render_glue2_xml, serve_info
 from .jobsubmit import (
     JobSubmitError,
@@ -68,8 +67,9 @@ _SETTINGS = {
     "site_config": data.SITE_CONF,
     "rte_dir": data.RTE_DIR,
     "spool_dir": "spool",
-    "endpoint": "127.0.0.1:8070",
+    "endpoint": SiteConfig.bind,
 }
+_READ_CHUNK_BYTES = 1024 * 1024  # one read takes in a typical local info document
 
 
 class CliInputError(Exception):
@@ -151,7 +151,18 @@ def cmd_infoprovider(args: argparse.Namespace) -> int:
 def _read_document(target: str) -> str:
     if target.startswith(("http://", "https://")):
         return fetch_info(target)
-    return read_text(Path(target), CliInputError)
+    # Bounded as a fetched body is; read in chunks, as a pipe reports no size.
+    path, limit, chunks, size = Path(target), client.MAX_DOCUMENT_BYTES, [], 0
+    try:
+        with open(path, "rb") as stream:
+            while chunk := stream.read(_READ_CHUNK_BYTES):
+                size += len(chunk)
+                if size > limit:
+                    raise CliInputError(f"{path}: document exceeds {limit} bytes")
+                chunks.append(chunk)
+        return b"".join(chunks).decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliInputError(f"cannot read {path}: {exc}") from exc
 
 
 def cmd_arcinfo(args: argparse.Namespace) -> int:
@@ -225,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Unusable input: missing or malformed files, flags, settings and documents.
-_INPUT_ERRORS = (CliInputError, LrmsError, BadConfig, ClientError, XrslError, JobSubmitError, GresParseError,
-                 OSError, ValueError)
+_INPUT_ERRORS = (CliInputError, LrmsError, BadConfig, ClientError, XrslError, JobSubmitError, OSError, ValueError)
 
 
 def main(argv: list[str] | None = None) -> int:

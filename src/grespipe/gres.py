@@ -34,7 +34,7 @@ __all__ = [
 
 _COUNT_RE = re.compile(r"[0-9]+[KMGTP]?\Z")
 _SUFFIX_RANK = {"K": 1, "M": 2, "G": 3, "T": 4, "P": 5}
-# How the parser builds the frozen entries and lists it has already checked.
+# How the parser builds the entries it has already checked, skipping their re-parse.
 _new = object.__new__
 _set_field = object.__setattr__
 
@@ -120,9 +120,6 @@ class GresList:
 
     entries: tuple[GresEntry, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-
     def __iter__(self) -> Iterator[GresEntry]:
         return iter(self.entries)
 
@@ -190,9 +187,7 @@ def parse_gres_expression(text: str) -> GresList:
         _set_field(entry, "count", count)
         _set_field(entry, "count_literal", literal)
         entries.append(entry)
-    gres_list = _new(GresList)
-    _set_field(gres_list, "entries", tuple(entries))
-    return gres_list
+    return GresList(tuple(entries))
 
 
 def render_gres_expression(gres_list: GresList) -> str:

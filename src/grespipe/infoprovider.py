@@ -118,9 +118,6 @@ class ComputingManagerRecord:
     manager_name: str
     general_resources: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "general_resources", tuple(self.general_resources))
-
     def validate(self) -> None:
         if not self.manager_name:
             raise ValueError("manager_name must be non-empty")

@@ -69,7 +69,6 @@ class RteManifest:
     node_properties: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "node_properties", tuple(self.node_properties))
         if not _RTE_NAME_RE.fullmatch(self.name):
             raise ValueError(f"bad RTE name: {self.name!r}")
         for prop in self.node_properties:
@@ -85,7 +84,6 @@ class JobOptions:
     node_properties: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "node_properties", tuple(self.node_properties))
         if any(not prop for prop in self.node_properties):
             raise ValueError("node_properties must not contain empty entries")
 
@@ -98,7 +96,6 @@ class SubmitScript:
     payload: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "directives", tuple(self.directives))
         for directive in self.directives:
             if not directive.startswith("#SBATCH "):
                 raise ValueError(f"directive must start with '#SBATCH ': {directive!r}")

@@ -12,7 +12,6 @@ to a real ``sinfo`` for deployment parity.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -82,10 +81,12 @@ class ClusterFixture:
         The fixture is immutable, so a check that passed holds for good and
         is not repeated; a failed check caches nothing and raises again.
         """
-        self._valid
+        self._gres
 
     @cached_property
-    def _valid(self) -> bool:
+    def _gres(self) -> tuple[str, ...]:
+        # Every check, then the sinfo round trip; the fixture is immutable,
+        # so both are done once per fixture.
         if not self.node_classes:
             raise InvalidFixture("fixture has no node classes")
         for node_class in self.node_classes:
@@ -108,12 +109,6 @@ class ClusterFixture:
                 raise InvalidFixture(
                     f"partition {node_class.partition!r}: bad gres line {line!r}: {exc}"
                 ) from exc
-        return True
-
-    @cached_property
-    def _gres(self) -> tuple[str, ...]:
-        # The fixture is immutable, so the sinfo round trip always yields
-        # the same strings: do it once per fixture.
         return tuple(read_gres_info(self))
 
 
@@ -131,7 +126,6 @@ class ClusterSnapshot:
     collected_at: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gres", tuple(self.gres))
         if "" in self.gres or NULL_TOKEN in self.gres:
             value = next(value for value in self.gres if value in ("", NULL_TOKEN))
             raise ValueError(f"snapshot must not contain {value!r}")
@@ -197,9 +191,8 @@ def collect_cluster_info(fixture: ClusterFixture, now: float | None = None) -> C
 
     ``now`` overrides the collection timestamp, for deterministic tests.
     """
-    fixture.validate()
-    timestamp = int(time.time() if now is None else now)
-    return ClusterSnapshot(fixture.cluster_name, fixture._gres, timestamp)
+    gres = fixture._gres  # raises InvalidFixture unless the fixture is usable
+    return ClusterSnapshot(fixture.cluster_name, gres, int(time.time() if now is None else now))
 
 
 class SlurmFixtureBackend:
@@ -217,34 +210,32 @@ class SlurmFixtureBackend:
 class SlurmExecBackend:
     """Snapshot source that runs a real ``sinfo -a -h -o "gresinfo=%G"``.
 
-    External process invocations are serialized, and one that outlives
-    :data:`SINFO_TIMEOUT_SECONDS` is killed and reported as
-    :class:`LrmsError`.  Lines yielding an empty value are skipped
-    defensively (a live scheduler reports ``(null)`` for resource-less
-    nodes, but an empty field would violate the snapshot contract).
+    An invocation that outlives :data:`SINFO_TIMEOUT_SECONDS` is killed and
+    reported as :class:`LrmsError`.  Lines yielding an empty value are
+    skipped defensively (a live scheduler reports ``(null)`` for
+    resource-less nodes, but an empty field would violate the snapshot
+    contract).
     """
 
     def __init__(self, cluster_name: str, sinfo_path: str = "sinfo"):
         self.cluster_name = cluster_name
         self.sinfo_path = sinfo_path
-        self._lock = threading.Lock()
 
     def collect(self) -> ClusterSnapshot:
         import subprocess
 
-        with self._lock:
-            try:
-                proc = subprocess.run(
-                    [self.sinfo_path, *SINFO_ARGS],
-                    capture_output=True,
-                    text=True,
-                    check=False,
-                    timeout=SINFO_TIMEOUT_SECONDS,
-                )
-            except OSError as exc:
-                raise LrmsError(f"cannot run {self.sinfo_path}: {exc}") from exc
-            except subprocess.TimeoutExpired as exc:
-                raise LrmsError(f"{self.sinfo_path} timed out after {exc.timeout} s") from exc
+        try:
+            proc = subprocess.run(
+                [self.sinfo_path, *SINFO_ARGS],
+                capture_output=True,
+                text=True,
+                check=False,
+                timeout=SINFO_TIMEOUT_SECONDS,
+            )
+        except OSError as exc:
+            raise LrmsError(f"cannot run {self.sinfo_path}: {exc}") from exc
+        except subprocess.TimeoutExpired as exc:
+            raise LrmsError(f"{self.sinfo_path} timed out after {exc.timeout} s") from exc
         if proc.returncode != 0:
             raise LrmsError(
                 f"{self.sinfo_path} exited {proc.returncode}: {proc.stderr.strip()}"

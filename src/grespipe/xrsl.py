@@ -65,8 +65,6 @@ class JobDescription:
     stderr_name: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arguments", tuple(self.arguments))
-        object.__setattr__(self, "runtime_environments", tuple(self.runtime_environments))
         if not self.executable:
             raise ValueError("executable must be non-empty")
         if self.count < 1:
@@ -173,4 +171,6 @@ def parse_xrsl(text: str) -> JobDescription:
             warnings.warn(f"ignoring unknown attribute {name!r}", UnknownAttributeWarning, stacklevel=2)
     if not fields["executable"]:
         raise MissingExecutable("job description supplies no executable")
+    fields["arguments"] = tuple(fields["arguments"])
+    fields["runtime_environments"] = tuple(fields["runtime_environments"])
     return JobDescription(**fields)

@@ -212,15 +212,22 @@ class TestArcinfo:
         assert captured.err == "grespipe: error: user information (user@host) in an info URL is not supported\n"
 
     def test_oversized_document_is_input_error(
-        self, capsys, monkeypatch, kebnekaise_fixture, site_config
+        self, capsys, monkeypatch, kebnekaise_fixture, site_config, tmp_path
     ):
         monkeypatch.setattr(client, "MAX_DOCUMENT_BYTES", 100)
+        document = tmp_path / "info.xml"
+        document.write_text("<InfoRoot/>".ljust(101))
         config = dataclasses.replace(site_config, bind="127.0.0.1:0")
         with serve_info(SlurmFixtureBackend(kebnekaise_fixture), config) as server:
-            assert main(["arcinfo", server.url + "/info"]) == EXIT_INPUT
-        captured = capsys.readouterr()
-        assert "exceeds 100 bytes" in captured.err
-        assert captured.out == ""
+            for target in (server.url + "/info", str(document), "/dev/zero"):
+                assert main(["arcinfo", target]) == EXIT_INPUT
+                captured = capsys.readouterr()
+                assert "exceeds 100 bytes" in captured.err
+                assert captured.out == ""
+        # A document of exactly the limit is read, and then refused for its content.
+        document.write_text("<InfoRoot/>".ljust(100))
+        assert main(["arcinfo", str(document)]) == EXIT_REFUSED
+        assert "no ComputingService" in capsys.readouterr().err
 
     def test_endpoint_setting_supplies_default_target(
         self, capsys, monkeypatch, kebnekaise_fixture, site_config
@@ -338,11 +345,14 @@ class TestMatchmakingFlow:
 
     def test_match_oversized_document_is_input_error(self, served, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(client, "MAX_DOCUMENT_BYTES", 100)
+        document = tmp_path / "info.xml"
+        document.write_text("<InfoRoot/>".ljust(101))
         spool = tmp_path / "spool"
-        argv = ["arcsub", str(data.HELLO_XRSL), "--spool-dir", str(spool), "--match", served]
-        assert main(argv) == EXIT_INPUT
-        assert "exceeds 100 bytes" in capsys.readouterr().err
-        assert not spool.exists()
+        for target in (served, str(document), "/dev/zero"):
+            argv = ["arcsub", str(data.HELLO_XRSL), "--spool-dir", str(spool), "--match", target]
+            assert main(argv) == EXIT_INPUT
+            assert "exceeds 100 bytes" in capsys.readouterr().err
+            assert not spool.exists()
 
     def test_match_no_services_is_refusal(self, tmp_path, capsys):
         document = tmp_path / "info.xml"
