@@ -1,9 +1,14 @@
-"""Readers shared by the CLI, the XRSL parser and the fixture, config and manifest loaders."""
+"""Readers shared by the CLI, the XRSL parser, the client and the fixture,
+config and manifest loaders: every input grespipe takes in is read here."""
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
+
+# An input file or fetched body above this many bytes is refused rather than held in memory.
+MAX_DOCUMENT_BYTES = 64 * 1024 * 1024
+_CHUNK_BYTES = 1024 * 1024  # one read takes in a typical input file or info document
 
 
 def ascii_int(text: str) -> int | None:
@@ -14,13 +19,29 @@ def ascii_int(text: str) -> int | None:
         return None
 
 
+def read_bounded(stream: BinaryIO, name: object, error: type[Exception]) -> bytes:
+    """Return the rest of ``stream``, read in chunks, as a pipe reports no size;
+    raise ``error`` as soon as it passes :data:`MAX_DOCUMENT_BYTES`."""
+    limit, chunks, size = MAX_DOCUMENT_BYTES, [], 0
+    while chunk := stream.read(_CHUNK_BYTES):
+        size += len(chunk)
+        if size > limit:
+            raise error(f"{name}: document exceeds {limit} bytes")
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
 def read_text(path: Path, error: type[Exception]) -> str:
-    """Return the whole UTF-8 text of ``path``; raise ``error`` if the file
-    cannot be read or is not UTF-8."""
+    """Return the whole UTF-8 text of ``path``, with ``\\r\\n`` and ``\\r`` read
+    as ``\\n`` as :meth:`Path.read_text` reads them; raise ``error`` if the
+    file cannot be read, is not UTF-8 or passes :data:`MAX_DOCUMENT_BYTES`."""
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, "rb") as stream:
+            text = read_bounded(stream, path, error).decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {path}: {exc}") from exc
+    # The test costs far less than two replaces on a text that holds no CR.
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def content_lines(path: Path, error: type[Exception]) -> Iterator[tuple[int, str]]:

@@ -28,7 +28,7 @@ import time
 import warnings
 from pathlib import Path
 
-from . import client, data
+from . import data
 from .client import ClientError, NoServices, fetch_info, format_arcinfo, parse_execution_targets
 from ._text import key_values, read_text
 from .infoprovider import BadConfig, BindFailure, SiteConfig, build_computing_service, render_glue2_xml, serve_info
@@ -69,7 +69,6 @@ _SETTINGS = {
     "spool_dir": "spool",
     "endpoint": SiteConfig.bind,
 }
-_READ_CHUNK_BYTES = 1024 * 1024  # one read takes in a typical local info document
 
 
 class CliInputError(Exception):
@@ -151,18 +150,7 @@ def cmd_infoprovider(args: argparse.Namespace) -> int:
 def _read_document(target: str) -> str:
     if target.startswith(("http://", "https://")):
         return fetch_info(target)
-    # Bounded as a fetched body is; read in chunks, as a pipe reports no size.
-    path, limit, chunks, size = Path(target), client.MAX_DOCUMENT_BYTES, [], 0
-    try:
-        with open(path, "rb") as stream:
-            while chunk := stream.read(_READ_CHUNK_BYTES):
-                size += len(chunk)
-                if size > limit:
-                    raise CliInputError(f"{path}: document exceeds {limit} bytes")
-                chunks.append(chunk)
-        return b"".join(chunks).decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
+    return read_text(Path(target), CliInputError)
 
 
 def cmd_arcinfo(args: argparse.Namespace) -> int:

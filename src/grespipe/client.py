@@ -7,6 +7,7 @@ so a command that neither fetches nor parses does not load them.
 
 from __future__ import annotations
 
+from ._text import read_bounded
 from .infoprovider import ComputingManagerRecord, ComputingServiceRecord
 
 __all__ = [
@@ -24,8 +25,6 @@ __all__ = [
 ]
 
 _XML_MIME_TYPES = ("application/xml", "text/xml")
-# A body above this many bytes is refused rather than held in memory.
-MAX_DOCUMENT_BYTES = 64 * 1024 * 1024
 
 
 class ClientError(Exception):
@@ -61,7 +60,7 @@ class BadContentType(FetchError):
 
 
 class DocumentTooLarge(FetchError):
-    """The endpoint answered with a body above :data:`MAX_DOCUMENT_BYTES`."""
+    """The endpoint answered with a body above :data:`grespipe._text.MAX_DOCUMENT_BYTES`."""
 
 
 def parse_execution_targets(xml_text: str) -> list[ComputingServiceRecord]:
@@ -154,9 +153,9 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
     :class:`Unreachable` on connection failure or a non-HTTP answer,
     :class:`BadStatus` on any non-200 answer, :class:`BadContentType` when the
     response is not XML, :class:`DocumentTooLarge` when the body exceeds
-    :data:`MAX_DOCUMENT_BYTES` and :class:`FetchError` when the body ends
-    before its ``Content-Length``.  A URL that is not ``http://`` or that
-    carries user information (``user@host``) raises :class:`ValueError`.
+    :data:`grespipe._text.MAX_DOCUMENT_BYTES` and :class:`FetchError` when the
+    body ends before its ``Content-Length``.  A URL that is not ``http://`` or
+    that carries user information (``user@host``) raises :class:`ValueError`.
     """
     import http.client
     from contextlib import closing
@@ -175,14 +174,12 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
                 if response.status != 200:
                     raise BadStatus(response.status)
                 content_type = response.headers.get("Content-Type", "")
-                body = response.read(MAX_DOCUMENT_BYTES + 1)
+                body = read_bounded(response, url, DocumentTooLarge)
                 missing = response.length  # bytes the Content-Length promised but never came
     except OSError as exc:
         raise Unreachable(f"cannot reach {url}: {exc}") from exc
     except http.client.HTTPException as exc:  # a bad port in the URL, or an answer that is not HTTP
         raise Unreachable(f"cannot fetch {url}: {exc!r}") from exc
-    if len(body) > MAX_DOCUMENT_BYTES:
-        raise DocumentTooLarge(f"{url}: document exceeds {MAX_DOCUMENT_BYTES} bytes")
     if missing:
         raise FetchError(f"{url}: body ended after {len(body)} of {len(body) + missing} bytes")
     mime = content_type.split(";", 1)[0].strip().lower()

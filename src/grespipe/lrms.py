@@ -85,8 +85,8 @@ class ClusterFixture:
 
     @cached_property
     def _gres(self) -> tuple[str, ...]:
-        # Every check, then the sinfo round trip; the fixture is immutable,
-        # so both are done once per fixture.
+        # Every check, then the fixture's own lines that ``read_gres_info`` keeps;
+        # the fixture is immutable, so both are done once per fixture.
         if not self.node_classes:
             raise InvalidFixture("fixture has no node classes")
         for node_class in self.node_classes:
@@ -109,7 +109,7 @@ class ClusterFixture:
                 raise InvalidFixture(
                     f"partition {node_class.partition!r}: bad gres line {line!r}: {exc}"
                 ) from exc
-        return tuple(read_gres_info(self))
+        return tuple(c.gres_line for c in self.node_classes if NULL_TOKEN not in c.gres_line)
 
 
 @dataclass(frozen=True)

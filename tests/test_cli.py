@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from grespipe import client, data
-from grespipe.cli import EXIT_ENV, EXIT_INPUT, EXIT_OK, EXIT_REFUSED, main
+from grespipe import _text, data
+from grespipe.cli import EXIT_ENV, EXIT_INPUT, EXIT_OK, EXIT_REFUSED, CliInputError, main
 from grespipe.infoprovider import SiteConfig, build_computing_service, render_glue2_xml, serve_info
 from grespipe.lrms import SlurmFixtureBackend, collect_cluster_info, load_fixture
+from grespipe.xrsl import XrslSyntaxError, parse_xrsl
 
 from conftest import PREFIXED_LINES, RESOURCE_LINES, SINFO_BARE_LINES, answer_once, child_env
 
@@ -214,7 +215,7 @@ class TestArcinfo:
     def test_oversized_document_is_input_error(
         self, capsys, monkeypatch, kebnekaise_fixture, site_config, tmp_path
     ):
-        monkeypatch.setattr(client, "MAX_DOCUMENT_BYTES", 100)
+        monkeypatch.setattr(_text, "MAX_DOCUMENT_BYTES", 100)
         document = tmp_path / "info.xml"
         document.write_text("<InfoRoot/>".ljust(101))
         config = dataclasses.replace(site_config, bind="127.0.0.1:0")
@@ -344,7 +345,7 @@ class TestMatchmakingFlow:
         assert not spool.exists()
 
     def test_match_oversized_document_is_input_error(self, served, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(client, "MAX_DOCUMENT_BYTES", 100)
+        monkeypatch.setattr(_text, "MAX_DOCUMENT_BYTES", 100)
         document = tmp_path / "info.xml"
         document.write_text("<InfoRoot/>".ljust(101))
         spool = tmp_path / "spool"
@@ -503,6 +504,59 @@ def test_non_utf8_input_file_is_input_error_without_traceback(argv, tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("grespipe: error: ")
     assert proc.returncode == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arcsub", "{big}", "--spool-dir", "{spool}"],
+        ["mock-sinfo", "--fixture", "{big}"],
+        ["mock-sinfo", "--config", "{big}"],
+        ["infoprovider", "--fixture", "{fixture}", "--site-config", "{big}"],
+        ["arcsub", "{xrsl}", "--rte-dir", "{dir}", "--spool-dir", "{spool}"],
+    ],
+    ids=["xrsl", "fixture", "config", "site-config", "rte-manifest"],
+)
+def test_oversized_input_file_is_input_error(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(_text, "MAX_DOCUMENT_BYTES", 100)
+    big = tmp_path / "big.rte"
+    big.write_bytes(b"#" * 101)
+    # Inputs read before the oversized one, each within the limit.
+    fixture, xrsl = tmp_path / "small.fixture", tmp_path / "small.xrsl"
+    fixture.write_text("main|1|gpu:1\n")
+    xrsl.write_text('&(executable="hello.sh")\n')
+    names = {"big": big, "fixture": fixture, "xrsl": xrsl, "dir": tmp_path, "spool": tmp_path / "spool"}
+    argv = [arg.format(**names) for arg in argv]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"grespipe: error: {big}: document exceeds 100 bytes\n"
+    assert not (tmp_path / "spool").exists()
+
+
+# A quoted value that spans a line break, then a clause refused at its start offset.
+_MULTILINE_XRSL = '&(executable="hello.sh")\n(arguments="first line\nsecond line" "x")\n(jobName="j")\n'
+_LATE_ERROR_XRSL = _MULTILINE_XRSL + '(count="0")\n'
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+def test_cr_and_crlf_inputs_read_as_lf(newline, tmp_path):
+    def read_back(text: str) -> str:
+        path = tmp_path / "input"
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        return _text.read_text(path, CliInputError)
+
+    job = parse_xrsl(read_back(_MULTILINE_XRSL))
+    assert job == parse_xrsl(_MULTILINE_XRSL)
+    assert job.arguments == ("first line\nsecond line", "x")
+    with pytest.raises(XrslSyntaxError) as lf:
+        parse_xrsl(_LATE_ERROR_XRSL)
+    with pytest.raises(XrslSyntaxError) as other:
+        parse_xrsl(read_back(_LATE_ERROR_XRSL))
+    assert (str(other.value), other.value.position) == (str(lf.value), lf.value.position)
+    fixture = tmp_path / "kebnekaise.fixture"
+    fixture.write_bytes(data.KEBNEKAISE_FIXTURE.read_bytes().replace(b"\n", newline.encode("ascii")))
+    assert load_fixture(fixture) == load_fixture(data.KEBNEKAISE_FIXTURE)
 
 
 @pytest.mark.parametrize(

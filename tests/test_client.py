@@ -6,6 +6,7 @@ import socket
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from xml.etree import ElementTree
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grespipe import client
+from grespipe import _text
 from grespipe.client import (
     BadContentType,
     BadStatus,
@@ -436,9 +437,9 @@ class TestFetchInfo:
             url = server.url + "/info"
             body = fetch_info(url)
             size = len(body.encode("utf-8"))
-            monkeypatch.setattr(client, "MAX_DOCUMENT_BYTES", size)
+            monkeypatch.setattr(_text, "MAX_DOCUMENT_BYTES", size)
             assert fetch_info(url) == body
-            monkeypatch.setattr(client, "MAX_DOCUMENT_BYTES", size - 1)
+            monkeypatch.setattr(_text, "MAX_DOCUMENT_BYTES", size - 1)
             with pytest.raises(DocumentTooLarge, match=f"exceeds {size - 1} bytes") as excinfo:
                 fetch_info(url)
         assert isinstance(excinfo.value, FetchError)
@@ -447,6 +448,25 @@ class TestFetchInfo:
         head = b"HTTP/1.0 200 OK\r\nContent-Type: application/xml\r\nContent-Length: 100\r\n\r\n"
         with answer_once(head + b"<InfoRoot>") as port:
             with pytest.raises(FetchError, match="body ended after 10 of 100 bytes"):
+                fetch_info(f"http://127.0.0.1:{port}/info", timeout=5)
+
+    def test_close_delimited_body(self, monkeypatch):
+        head = b"HTTP/1.0 200 OK\r\nContent-Type: application/xml\r\n\r\n"
+        with answer_once(head + b"<InfoRoot/>") as port:
+            assert fetch_info(f"http://127.0.0.1:{port}/info", timeout=5) == "<InfoRoot/>"
+        # Read in chunks, so a body with no Content-Length does not reserve the cap.
+        body = "<InfoRoot>" + "x" * (400 * 1024) + "</InfoRoot>"
+        with answer_once(head + body.encode("ascii")) as port:
+            tracemalloc.start()
+            try:
+                assert fetch_info(f"http://127.0.0.1:{port}/info", timeout=5) == body
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * 1024 * 1024
+        monkeypatch.setattr(_text, "MAX_DOCUMENT_BYTES", 100)
+        with answer_once(head + b"x" * 101) as port:
+            with pytest.raises(DocumentTooLarge, match="exceeds 100 bytes"):
                 fetch_info(f"http://127.0.0.1:{port}/info", timeout=5)
 
     def test_redirect_is_bad_status_and_not_followed(self):

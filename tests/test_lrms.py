@@ -142,6 +142,14 @@ class TestCollect:
             assert list(collect_cluster_info(fixture).gres) == RESOURCE_LINES
         assert calls == []
 
+    def test_gres_are_the_fixture_own_strings(self, kebnekaise_fixture):
+        rng = random.Random(2025)
+        for fixture in [kebnekaise_fixture] + [random_fixture(rng) for _ in range(100)]:
+            gres = collect_cluster_info(fixture).gres
+            assert list(gres) == read_gres_info(fixture)
+            lines = [node_class.gres_line for node_class in fixture.node_classes]
+            assert all(any(value is line for line in lines) for value in gres)
+
     def test_invalid_fixture_rejected_on_every_collect(self, parse_calls):
         fixture = ClusterFixture("bad", (NodeClass("a", 1, "gpu:1"), NodeClass("b", 1, "gpu:")))
         for attempt in range(1, 4):
