@@ -3,22 +3,34 @@ imports this module, so a command that just renders does not load ``http.server`
 
 from __future__ import annotations
 
+import socket
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Callable
 
 from . import infoprovider
 from .lrms import ClusterSnapshot
+
+WORKERS = 8  # connections served at once; further ones wait in the listen backlog
+
+
+class _DeadlineSocket(socket.socket):
+    """An accepted connection whose reads all share one ``deadline``, so a drip cannot hold a worker."""
+
+    def recv_into(self, *args) -> int:
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("exchange deadline passed")
+        self.settimeout(left)  # the response's sendall takes the last one as its total
+        return super().recv_into(*args)
 
 
 class InfoRequestHandler(BaseHTTPRequestHandler):
     """``GET /info`` answers the server's current document; ``GET /healthz`` answers ``ok``."""
 
     server: InfoServer
-
-    def setup(self) -> None:
-        self.timeout = infoprovider.HANDLER_TIMEOUT_SECONDS  # read per connection, not at import
-        super().setup()
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         path = self.path.split("?", 1)[0]
@@ -40,16 +52,14 @@ class InfoRequestHandler(BaseHTTPRequestHandler):
         pass
 
 
-class InfoServer(ThreadingHTTPServer):
-    """HTTP info endpoint serving the rendered document on ``GET /info``,
-    running once constructed.
+class InfoServer(HTTPServer):
+    """HTTP info endpoint serving the rendered document on ``GET /info`` from
+    :data:`WORKERS` threads, running once constructed.
 
     The served document is an immutable bytes snapshot swapped atomically by
     a single refresher thread, so concurrent readers never observe a torn mix
     of two snapshots and handlers never block on collection.
     """
-
-    daemon_threads = True
 
     def __init__(self, record_source: Callable[[], ClusterSnapshot], config: infoprovider.SiteConfig):
         self._collect = record_source
@@ -61,10 +71,24 @@ class InfoServer(ThreadingHTTPServer):
         except OSError as exc:
             raise infoprovider.BindFailure(f"cannot bind {config.bind}: {exc}") from exc
         self._stop = threading.Event()
-        # Not ``_threads``: ThreadingMixIn owns that name.
-        self._loops = [threading.Thread(target=run, daemon=True) for run in (self.serve_forever, self._refresh_loop)]
-        for thread in self._loops:
+        runs = [self._refresh_loop] + [self._serve_loop] * WORKERS
+        self._threads = [threading.Thread(target=run, daemon=True) for run in runs]
+        for thread in self._threads:
             thread.start()
+
+    def get_request(self) -> tuple[_DeadlineSocket, object]:
+        conn, address = super().get_request()
+        conn = _DeadlineSocket(fileno=conn.detach())
+        conn.deadline = time.monotonic() + infoprovider.HANDLER_TIMEOUT_SECONDS  # read at accept, not at import
+        return conn, address
+
+    def handle_error(self, request, client_address) -> None:
+        if not isinstance(sys.exc_info()[1], OSError):  # quiet on a reset, a hang-up or the deadline
+            super().handle_error(request, client_address)
+
+    def _serve_loop(self) -> None:
+        while not self._stop.is_set():
+            self._handle_request_noblock()  # blocks in accept(); stop() wakes it
 
     def _refresh(self) -> None:
         """Collect a snapshot; build and render it only when its gres differ
@@ -94,10 +118,10 @@ class InfoServer(ThreadingHTTPServer):
 
     def stop(self) -> None:
         self._stop.set()
-        self.shutdown()
+        self.socket.shutdown(socket.SHUT_RDWR)  # on Linux, wakes every accept(); close once all return
+        for thread in self._threads:
+            thread.join()
         self.server_close()
-        for thread in self._loops:
-            thread.join(timeout=5)
 
     def __exit__(self, *exc_info) -> None:
         self.stop()

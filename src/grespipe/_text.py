@@ -4,7 +4,7 @@ config and manifest loaders: every input grespipe takes in is read here."""
 from __future__ import annotations
 
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Container, Iterator
 
 # An input file or fetched body above this many bytes is refused rather than held in memory.
 MAX_DOCUMENT_BYTES = 64 * 1024 * 1024
@@ -53,11 +53,16 @@ def content_lines(path: Path, error: type[Exception]) -> Iterator[tuple[int, str
             yield lineno, line
 
 
-def key_values(path: Path, error: type[Exception]) -> Iterator[tuple[int, str, str]]:
+def key_values(
+    path: Path, error: type[Exception], keys: Container[str] | None = None
+) -> Iterator[tuple[int, str, str]]:
     """Yield ``(lineno, key, value)`` per ``key = value`` line, in file order
-    (repeated keys included); raise ``error`` for a line without ``=``."""
+    (repeated keys included); raise ``error`` for a line without ``=`` or,
+    if ``keys`` is given, for a key not in it."""
     for lineno, line in content_lines(path, error):
-        key, sep, value = line.partition("=")
+        key, sep, value = map(str.strip, line.partition("="))
         if not sep:
             raise error(f"{path}:{lineno}: expected key = value")
-        yield lineno, key.strip(), value.strip()
+        if keys is not None and key not in keys:
+            raise error(f"{path}:{lineno}: unknown key {key!r}")
+        yield lineno, key, value

@@ -93,20 +93,12 @@ def _clock() -> float | None:
     raise CliInputError(f"bad {ENV_PREFIX}NOW value: {value!r}")
 
 
-def _load_config_file(path: Path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, key, value in key_values(path, CliInputError):
-        if key not in _SETTINGS:
-            raise CliInputError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value
-    return values
-
-
 class _Settings:
     """Per-invocation settings with flag > env > file > default resolution."""
 
     def __init__(self, args: argparse.Namespace):
-        self._file = _load_config_file(args.config) if args.config else {}
+        lines = key_values(args.config, CliInputError, _SETTINGS) if args.config else ()
+        self._file = {key: value for _lineno, key, value in lines}
         self._args = args
 
     def __getitem__(self, key: str) -> str:

@@ -42,8 +42,8 @@ __all__ = [
 _REQUIRED_KEYS = ("admin_domain", "service_id", "manager_name")
 _ALL_KEYS = _REQUIRED_KEYS + ("bind", "refresh_interval_seconds")
 _CONTROL_CHARS = tuple(map(chr, range(0x20)))
-# An idle or stalled connection is dropped after this long, so it cannot
-# hold a server thread for good.
+# A connection is dropped once its whole exchange, request and response,
+# has taken this long, so a slow or idle client cannot hold a server worker.
 HANDLER_TIMEOUT_SECONDS = 10.0
 
 

@@ -116,15 +116,13 @@ def load_rte_manifest(path: str | Path) -> RteManifest:
     path = Path(path)
     name: str | None = None
     properties: list[str] = []
-    for lineno, key, value in key_values(path, RteManifestError):
+    for lineno, key, value in key_values(path, RteManifestError, ("name", "node_properties")):
         if key == "name":
             name = value
-        elif key == "node_properties":
-            if not value:
-                raise RteManifestError(f"{path}:{lineno}: empty node property")
-            properties.append(value)
+        elif not value:
+            raise RteManifestError(f"{path}:{lineno}: empty node property")
         else:
-            raise RteManifestError(f"{path}:{lineno}: unknown key {key!r}")
+            properties.append(value)
     if not name:
         raise RteManifestError(f"{path}: manifest declares no name")
     try:

@@ -2,6 +2,8 @@
 
 import dataclasses
 import os
+import pyexpat
+import resource
 import signal
 import socket
 import subprocess
@@ -74,6 +76,12 @@ class TestMockSinfo:
             config.write_text(content)
         assert main(["mock-sinfo", "--config", str(config)]) == EXIT_INPUT
         assert str(config) in capsys.readouterr().err
+
+    def test_unknown_config_key_message(self, tmp_path, capsys):
+        config = tmp_path / "cli.conf"
+        config.write_text("# settings\nspool_dir = spool\ncolour = blue\n")
+        assert main(["mock-sinfo", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"grespipe: error: {config}:3: unknown key 'colour'\n"
 
     def test_flag_beats_env(self, tmp_path, capsys, monkeypatch):
         flagged = tmp_path / "flag.fixture"
@@ -191,6 +199,29 @@ class TestArcinfo:
         path = tmp_path / "info.xml"
         path.write_text("<InfoRoot><oops>")
         assert main(["arcinfo", str(path)]) == EXIT_INPUT
+
+    def test_entity_expansion_is_input_error(self, tmp_path):
+        # Ten levels of ten references: 10**9 copies of e0 if expat expanded them.
+        lines = ['<?xml version="1.0"?>', "<!DOCTYPE InfoRoot [", '<!ENTITY e0 "lollollollollollollollollollol">']
+        lines += [f'<!ENTITY e{i} "{f"&e{i - 1};" * 10}">' for i in range(1, 10)]
+        lines += ["]>", "<InfoRoot>&e9;</InfoRoot>", ""]
+        path = tmp_path / "info.xml"
+        path.write_text("\n".join(lines))
+        assert path.stat().st_size < 1000
+        limit = 1 << 30  # an expat that expands the entities fails here rather than take the machine's memory
+        proc = subprocess.run(
+            [sys.executable, "-m", "grespipe", "arcinfo", str(path)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        # expat before 2.4.0 has no amplification limit.
+        assert (proc.returncode, "amplification factor" in proc.stderr) == (EXIT_INPUT, True), (
+            pyexpat.EXPAT_VERSION,
+            proc.stderr,
+        )
 
     def test_unreachable_url(self):
         probe = socket.socket()

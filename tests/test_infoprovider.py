@@ -1,10 +1,13 @@
 """Tests for record building, XML rendering and the info endpoint."""
 
+import contextlib
 import dataclasses
 import itertools
 import logging
 import random
+import select
 import socket
+import struct
 import threading
 import time
 import urllib.request
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from grespipe import infoprovider
+from grespipe import _httpd, infoprovider
 from grespipe.infoprovider import (
     BadConfig,
     BindFailure,
@@ -311,17 +314,68 @@ class TestServeInfo:
             with urllib.request.urlopen(server.url + "/info", timeout=5) as response:
                 response.read()
             port = int(server.url.rsplit(":", 1)[1])
-        # Connection handlers are daemon threads that stop() does not join,
-        # so give the one that served the GET a moment to return.
-        deadline = time.monotonic() + 5
-        while set(threading.enumerate()) - before and time.monotonic() < deadline:
-            time.sleep(0.01)
         assert set(threading.enumerate()) - before == set()
         # The served connection leaves the port in TIME_WAIT, hence SO_REUSEADDR.
         with socket.socket() as again:
             again.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             again.bind(("127.0.0.1", port))
             again.listen(1)
+
+    def test_idle_sockets_hold_at_most_the_pool(self, kebnekaise_fixture, site_config, monkeypatch):
+        monkeypatch.setattr(infoprovider, "HANDLER_TIMEOUT_SECONDS", 0.5)
+        backend = SlurmFixtureBackend(kebnekaise_fixture)
+        before = threading.active_count()
+        with serve_info(backend, self._config(site_config)) as server, contextlib.ExitStack() as idle:
+            peak = before
+            for _ in range(_httpd.WORKERS + 4):
+                idle.enter_context(socket.create_connection(server.server_address[:2], timeout=5))
+                time.sleep(0.01)  # room to accept, so the 5-deep listen backlog never fills
+                peak = max(peak, threading.active_count())
+            # The workers and the refresher, and no thread per connection.
+            assert peak - before <= _httpd.WORKERS + 1
+            # The first idle sockets time out, the rest follow, then the GET is served.
+            with urllib.request.urlopen(server.url + "/info", timeout=10) as response:
+                body = response.read()
+        expected = render_glue2_xml(build_computing_service(backend.collect(), site_config))
+        assert body.decode("utf-8") == expected
+
+    def test_drip_client_is_cut_off_at_the_deadline(self, kebnekaise_fixture, site_config, monkeypatch):
+        monkeypatch.setattr(infoprovider, "HANDLER_TIMEOUT_SECONDS", 0.5)
+        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), self._config(site_config)) as server:
+            with socket.create_connection(server.server_address[:2], timeout=5) as drip:
+                start = time.monotonic()
+                drip.sendall(b"GET /info HTTP/1.0\r\nX-Drip: ")
+                try:
+                    # One header byte every 0.2 s, each well inside the deadline.
+                    while not select.select([drip], [], [], 0.2)[0]:
+                        assert time.monotonic() - start < 3, "a dripping client is never cut off"
+                        drip.send(b"a")
+                    assert drip.recv(1) == b""
+                except ConnectionResetError:  # the server closed with the drip unread
+                    pass
+                assert time.monotonic() - start < 0.5 + 0.5
+
+    def test_stop_is_prompt_while_every_worker_waits_in_accept(self, kebnekaise_fixture, site_config):
+        server = serve_info(SlurmFixtureBackend(kebnekaise_fixture), self._config(site_config))
+        with urllib.request.urlopen(server.url + "/healthz", timeout=5) as response:
+            assert response.read() == b"ok"
+        time.sleep(0.1)  # the worker that answered is back in accept()
+        start = time.monotonic()
+        server.stop()
+        assert time.monotonic() - start < 1
+
+    def test_reset_clients_leave_stderr_empty(self, site_config, capfd):
+        # A document of about 5 MB, far more than the socket buffers of a
+        # client that does not read, so each reset meets the server mid-write.
+        gres = tuple(f"gpu:model{i}:2" for i in range(100_000))
+        with serve_info(lambda: ClusterSnapshot("big", gres, 0), self._config(site_config)) as server:
+            for _ in range(3):
+                with socket.create_connection(server.server_address[:2], timeout=5) as client:
+                    client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                    client.sendall(b"GET /info HTTP/1.0\r\n\r\n")
+                    assert client.recv(1) == b"H"  # the response has begun; close with a reset
+        # stop() has joined every worker, so each reset has been handled.
+        assert capfd.readouterr().err == ""
 
     def test_bind_failure(self, kebnekaise_fixture, site_config):
         blocker = socket.socket()

@@ -74,6 +74,13 @@ class TestManifests:
         with pytest.raises(RteManifestError):
             load_rte_manifest(path)
 
+    def test_unknown_key_message(self, tmp_path):
+        path = tmp_path / "bad.rte"
+        path.write_text("name = X\n\n  color = blue\n")
+        with pytest.raises(RteManifestError) as raised:
+            load_rte_manifest(path)
+        assert str(raised.value) == f"{path}:3: unknown key 'color'"
+
     def test_empty_property(self, tmp_path):
         path = tmp_path / "bad.rte"
         path.write_text("name = X\nnode_properties =\n")
