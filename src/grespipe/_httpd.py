@@ -3,6 +3,7 @@ imports this module, so a command that just renders does not load ``http.server`
 
 from __future__ import annotations
 
+import select
 import socket
 import sys
 import threading
@@ -13,18 +14,26 @@ from typing import Callable
 from . import infoprovider
 from .lrms import ClusterSnapshot
 
-WORKERS = 8  # connections served at once; further ones wait in the listen backlog
+# Connections served at once, more wait in the listen backlog: the 3 exchanges that
+# the busiest traffic measured (poll-10k's 2 callers) holds at once, and one spare.
+WORKERS = 4
 
 
 class _DeadlineSocket(socket.socket):
-    """An accepted connection whose reads all share one ``deadline``, so a drip cannot hold a worker."""
+    """An accepted connection whose reads and writes end by one ``deadline``, so a drip cannot hold a worker."""
 
-    def recv_into(self, *args) -> int:
+    def _by_deadline(self, call, *args):
         left = self.deadline - time.monotonic()
         if left <= 0:
             raise TimeoutError("exchange deadline passed")
-        self.settimeout(left)  # the response's sendall takes the last one as its total
-        return super().recv_into(*args)
+        self.settimeout(left)  # sendall's timeout, too, bounds the whole call
+        return call(*args)
+
+    def recv_into(self, *args) -> int:
+        return self._by_deadline(super().recv_into, *args)
+
+    def sendall(self, *args) -> None:
+        return self._by_deadline(super().sendall, *args)
 
 
 class InfoRequestHandler(BaseHTTPRequestHandler):
@@ -71,6 +80,8 @@ class InfoServer(HTTPServer):
         except OSError as exc:
             raise infoprovider.BindFailure(f"cannot bind {config.bind}: {exc}") from exc
         self._stop = threading.Event()
+        self.socket.setblocking(False)  # every worker wakes for a connection; the losers' accept() fails
+        self._wake, self._waker = socket.socketpair()  # stop() closes _waker, so _wake reads as ended for all
         runs = [self._refresh_loop] + [self._serve_loop] * WORKERS
         self._threads = [threading.Thread(target=run, daemon=True) for run in runs]
         for thread in self._threads:
@@ -87,8 +98,8 @@ class InfoServer(HTTPServer):
             super().handle_error(request, client_address)
 
     def _serve_loop(self) -> None:
-        while not self._stop.is_set():
-            self._handle_request_noblock()  # blocks in accept(); stop() wakes it
+        while self._wake not in select.select([self, self._wake], [], [])[0]:
+            self._handle_request_noblock()
 
     def _refresh(self) -> None:
         """Collect a snapshot; build and render it only when its gres differ
@@ -118,10 +129,11 @@ class InfoServer(HTTPServer):
 
     def stop(self) -> None:
         self._stop.set()
-        self.socket.shutdown(socket.SHUT_RDWR)  # on Linux, wakes every accept(); close once all return
+        self._waker.close()
         for thread in self._threads:
             thread.join()
         self.server_close()
+        self._wake.close()
 
     def __exit__(self, *exc_info) -> None:
         self.stop()

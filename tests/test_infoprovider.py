@@ -355,14 +355,32 @@ class TestServeInfo:
                     pass
                 assert time.monotonic() - start < 0.5 + 0.5
 
-    def test_stop_is_prompt_while_every_worker_waits_in_accept(self, kebnekaise_fixture, site_config):
+    def test_stop_is_prompt_while_every_worker_waits_for_a_connection(self, kebnekaise_fixture, site_config):
         server = serve_info(SlurmFixtureBackend(kebnekaise_fixture), self._config(site_config))
         with urllib.request.urlopen(server.url + "/healthz", timeout=5) as response:
             assert response.read() == b"ok"
-        time.sleep(0.1)  # the worker that answered is back in accept()
+        time.sleep(0.1)  # the worker that answered waits again
         start = time.monotonic()
         server.stop()
         assert time.monotonic() - start < 1
+
+    def test_late_request_and_unread_response_share_one_deadline(self, site_config, monkeypatch):
+        monkeypatch.setattr(infoprovider, "HANDLER_TIMEOUT_SECONDS", 1.0)
+        # About 10 MB, far more than the socket buffers of a client that does
+        # not read, so the response blocks until the deadline cuts it off.
+        gres = tuple(f"gpu:model{i}:2" for i in range(200_000))
+        server = serve_info(lambda: ClusterSnapshot("big", gres, 0), self._config(site_config))
+        with socket.socket() as client:
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            client.connect(server.server_address[:2])
+            start = time.monotonic()
+            try:
+                time.sleep(0.7)  # most of the deadline passes before the request is sent
+                client.sendall(b"GET /info HTTP/1.0\r\n\r\n")
+            finally:
+                server.stop()  # joins the worker that writes to the client
+            # The write gets only the 0.3 s left, not a fresh second.
+            assert time.monotonic() - start < 1.0 + 0.4
 
     def test_reset_clients_leave_stderr_empty(self, site_config, capfd):
         # A document of about 5 MB, far more than the socket buffers of a
