@@ -1,14 +1,15 @@
-"""The info endpoint server.  Only :func:`grespipe.infoprovider.serve_info`
-imports this module, so a command that just renders does not load ``http.server``."""
+"""The info endpoint server.  Only :func:`grespipe.infoprovider.serve_info` imports this module, which reads
+its own requests rather than load ``http.server`` and, through it, ``http.client``, ``email`` and ``ssl``."""
 
 from __future__ import annotations
 
 import select
 import socket
+import socketserver
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http import HTTPStatus
 from typing import Callable
 
 from . import infoprovider
@@ -17,6 +18,9 @@ from .lrms import ClusterSnapshot
 # Connections served at once, more wait in the listen backlog: the 3 exchanges that
 # the busiest traffic measured (poll-10k's 2 callers) holds at once, and one spare.
 WORKERS = 4
+MAX_LINE_BYTES = 65536  # http.server's limit on the bytes in any line of a request
+MAX_HEADERS = 100  # http.server's limit on the lines after the request line, the blank one included
+_END_OF_HEAD = (b"\r\n", b"\n", b"")  # the blank line, bare LF too, or the client's end of stream
 
 
 class _DeadlineSocket(socket.socket):
@@ -36,32 +40,50 @@ class _DeadlineSocket(socket.socket):
         return self._by_deadline(super().sendall, *args)
 
 
-class InfoRequestHandler(BaseHTTPRequestHandler):
-    """``GET /info`` answers the server's current document; ``GET /healthz`` answers ``ok``."""
+class InfoRequestHandler(socketserver.StreamRequestHandler):
+    """Answers ``GET /info`` with the current document and ``GET /healthz`` with ``ok``, in HTTP/1.0, then closes."""
 
     server: InfoServer
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        path = self.path.split("?", 1)[0]
-        if path == "/info":
-            self._send(200, "application/xml", self.server.document)
-        elif path == "/healthz":
-            self._send(200, "text/plain", b"ok")
-        else:
-            self.send_error(404)
+    def handle(self) -> None:
+        request_line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        if not request_line:  # the client closed without a request: no answer
+            return
+        status, content_type, body = self._answer(request_line)
+        day, month, mday, clock, year = time.asctime(time.gmtime()).split()  # English names in any locale
+        date = f"{day}, {mday.zfill(2)} {month} {year} {clock} GMT"  # IMF-fixdate, RFC 9110 section 5.6.7
+        head = f"HTTP/1.0 {status.value} {status.phrase}\r\nDate: {date}\r\nContent-Type: {content_type}\r\n"
+        self.wfile.write(f"{head}Content-Length: {len(body)}\r\n\r\n".encode("ascii"))
+        self.wfile.write(body)  # the served bytes themselves, not a copy
 
-    def _send(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _answer(self, request_line: bytes) -> tuple[HTTPStatus, str, bytes]:
+        if len(request_line) > MAX_LINE_BYTES:
+            return _error(HTTPStatus.REQUEST_URI_TOO_LONG)
+        words = request_line.split()
+        if len(words) != 3 or words[2] not in (b"HTTP/1.0", b"HTTP/1.1"):
+            return _error(HTTPStatus.BAD_REQUEST)
+        for _ in range(MAX_HEADERS):  # header lines are read and discarded up to the blank line
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if line in _END_OF_HEAD or len(line) > MAX_LINE_BYTES:
+                break
+        if line not in _END_OF_HEAD:  # a line too long, or too many
+            return _error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE)
+        if words[0] != b"GET":
+            return _error(HTTPStatus.NOT_IMPLEMENTED)
+        path = words[1].split(b"?", 1)[0]
+        path = b"/" + path.lstrip(b"/") if path.startswith(b"//") else path  # as http.server reads //info
+        if path == b"/info":
+            return HTTPStatus.OK, "application/xml", self.server.document
+        if path == b"/healthz":
+            return HTTPStatus.OK, "text/plain", b"ok"
+        return _error(HTTPStatus.NOT_FOUND)
 
-    def log_message(self, format: str, *args) -> None:  # keep the endpoint quiet
-        pass
+
+def _error(status: HTTPStatus) -> tuple[HTTPStatus, str, bytes]:
+    return status, "text/plain", status.phrase.encode("ascii")
 
 
-class InfoServer(HTTPServer):
+class InfoServer(socketserver.TCPServer):
     """HTTP info endpoint serving the rendered document on ``GET /info`` from
     :data:`WORKERS` threads, running once constructed.
 
@@ -69,6 +91,9 @@ class InfoServer(HTTPServer):
     a single refresher thread, so concurrent readers never observe a torn mix
     of two snapshots and handlers never block on collection.
     """
+
+    allow_reuse_address = True  # a restart binds while served connections sit in TIME_WAIT
+    request_queue_size = socket.SOMAXCONN  # the kernel caps it; a burst of connects waits, not retries
 
     def __init__(self, record_source: Callable[[], ClusterSnapshot], config: infoprovider.SiteConfig):
         self._collect = record_source

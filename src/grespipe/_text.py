@@ -1,5 +1,6 @@
-"""Readers shared by the CLI, the XRSL parser, the client and the fixture,
-config and manifest loaders: every input grespipe takes in is read here."""
+"""Readers shared by the CLI, the XRSL parser, the client and the fixture, config and manifest
+loaders: every input file and fetched body is read here.  The info endpoint reads its requests
+within its own line, header and deadline limits, and ``lrms`` reads ``sinfo``'s output."""
 
 from __future__ import annotations
 

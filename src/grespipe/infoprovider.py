@@ -11,8 +11,8 @@ is emitted even when empty.  The endpoint takes its snapshots from any
 zero-argument callable returning a :class:`ClusterSnapshot`.
 
 The endpoint itself lives in ``grespipe._httpd``, which only
-:func:`serve_info` imports, so a command that only renders the document
-does not load ``http.server`` at start-up.  A failed refresh is logged at
+:func:`serve_info` imports; it reads its own requests, so not even a
+server loads ``http.server``, ``email`` or ``ssl``.  A failed refresh is logged at
 WARNING on the ``grespipe.infoprovider`` logger; ``logging`` is imported
 by the first failure.
 """

@@ -729,3 +729,39 @@ def test_commands_load_only_the_stdlib_they_use(argv, bare_modules, tmp_path):
         assert ("xml.etree.ElementTree" in new) == (argv[:1] == ["arcinfo"])
     # The benchmark's tracer finds each pipeline module in sys.modules.
     assert loaded.issuperset(_PIPELINE_MODULES)
+
+
+# Serves the sample fixture, makes one raw-socket GET /info, writes the whole
+# answer to the path given as the argument, stops the server, then prints
+# every module the interpreter has loaded.
+_SERVE_AND_LIST_MODULES = """
+import dataclasses, socket, sys
+from pathlib import Path
+from grespipe import data
+from grespipe.infoprovider import SiteConfig, serve_info
+from grespipe.lrms import SlurmFixtureBackend, load_fixture
+site = dataclasses.replace(SiteConfig.from_file(data.SITE_CONF), bind="127.0.0.1:0")
+with serve_info(SlurmFixtureBackend(load_fixture(data.KEBNEKAISE_FIXTURE)), site) as server:
+    with socket.create_connection(server.server_address[:2], timeout=10) as client:
+        client.sendall(b"GET /info HTTP/1.0\\r\\n\\r\\n")
+        answer = b"".join(iter(lambda: client.recv(65536), b""))
+Path(sys.argv[1]).write_bytes(answer)
+print("\\n".join(sys.modules))
+"""
+
+
+def test_serving_loads_no_http_email_or_ssl_stack(bare_modules, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _SERVE_AND_LIST_MODULES, str(tmp_path / "answer")],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        check=True,
+        timeout=60,
+    )
+    head, _, body = (tmp_path / "answer").read_bytes().partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.0 200 ")
+    assert body == (GOLDEN / "infoprovider.out").read_bytes()
+    new = set(proc.stdout.splitlines()) - bare_modules
+    stacks = ("http.server", "http.client", "email", "ssl", "html", "mimetypes")
+    assert sorted(name for name in new if name.split(".")[0] in stacks or name in stacks) == []

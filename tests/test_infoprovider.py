@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import logging
 import random
+import re
 import select
 import socket
 import struct
@@ -37,6 +38,8 @@ from grespipe.lrms import ClusterSnapshot, SlurmFixtureBackend, collect_cluster_
 from conftest import PRINTABLE_WIDE_CHARS, RESOURCE_LINES, random_fixture
 
 SPINE = "Domains/AdminDomain/Services/ComputingService/ComputingManager"
+# An HTTP Date header in IMF-fixdate form (RFC 9110 section 5.6.7).
+_IMF_FIXDATE = rb"Date: (Mon|Tue|Wed|Thu|Fri|Sat|Sun), \d\d (Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) \d{4} \d\d:\d\d:\d\d GMT"
 
 
 def _resources_of(document: str) -> list[str]:
@@ -329,7 +332,7 @@ class TestServeInfo:
             peak = before
             for _ in range(_httpd.WORKERS + 4):
                 idle.enter_context(socket.create_connection(server.server_address[:2], timeout=5))
-                time.sleep(0.01)  # room to accept, so the 5-deep listen backlog never fills
+                time.sleep(0.01)  # room for a worker to accept before the threads are counted
                 peak = max(peak, threading.active_count())
             # The workers and the refresher, and no thread per connection.
             assert peak - before <= _httpd.WORKERS + 1
@@ -394,6 +397,65 @@ class TestServeInfo:
                     assert client.recv(1) == b"H"  # the response has begun; close with a reset
         # stop() has joined every worker, so each reset has been handled.
         assert capfd.readouterr().err == ""
+
+    def test_connect_burst_is_not_dropped(self, kebnekaise_fixture, site_config, monkeypatch):
+        monkeypatch.setattr(infoprovider, "HANDLER_TIMEOUT_SECONDS", 0.5)
+        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), self._config(site_config)) as server:
+            with contextlib.ExitStack() as held:
+                # Every worker holds an idle socket, so the rest wait in the listen
+                # backlog; a connect whose SYN overflowed it is retried only after 1 s.
+                for _ in range(3 * _httpd.WORKERS):
+                    start = time.monotonic()
+                    held.enter_context(socket.create_connection(server.server_address[:2], timeout=5))
+                    assert time.monotonic() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"GET /info HTTP/1.0\r\n\r\n", b"200"),
+            (b"GET /info HTTP/1.1\r\nHost: x\r\n\r\n", b"200"),
+            (b"GET /info?since=0 HTTP/1.1\r\n\r\n", b"200"),
+            (b"GET /info HTTP/1.1\nHost: x\n\n", b"200"),
+            (b"GET /nope HTTP/1.1\r\n\r\n", b"404"),
+            (b"GET http://127.0.0.1/info HTTP/1.1\r\n\r\n", b"404"),
+            (b"HEAD /info HTTP/1.0\r\n\r\n", b"501"),
+            (b"POST /info HTTP/1.0\r\nContent-Length: 2\r\n\r\nhi", b"501"),
+            (b"GET /" + b"a" * 65536 + b" HTTP/1.0\r\n\r\n", b"414"),
+            (b"GET /info HTTP/1.0\r\nX: " + b"a" * 65536 + b"\r\n\r\n", b"431"),
+            # http.server counts the blank line that ends the head among its 100 lines.
+            (b"GET /info HTTP/1.0\r\n" + b"X: a\r\n" * 99 + b"\r\n", b"200"),
+            (b"GET /info HTTP/1.0\r\n" + b"X: a\r\n" * 100 + b"\r\n", b"431"),
+            (b"GET /info HTTP/1.0\r\n" + b"X: a\r\n" * 101 + b"\r\n", b"431"),
+            (b"GET /info\r\n", b"400"),
+            (b"hello\r\n", b"400"),
+            (b"GET /info HTTP/1.x\r\n\r\n", b"400"),
+            (b"GET /info HTTP/2.0\r\n\r\n", b"400"),
+        ],
+        ids=[
+            "http-1.0", "http-1.1", "query", "bare-lf", "unknown-path", "absolute-form", "head", "post",
+            "long-request-line", "long-header", "99-headers", "100-headers", "101-headers", "http-0.9",
+            "hello", "http-1.x", "http-2.0",
+        ],
+    )
+    def test_request_edge_cases(self, request_bytes, status, kebnekaise_fixture, site_config, monkeypatch):
+        monkeypatch.setattr(infoprovider, "HANDLER_TIMEOUT_SECONDS", 1.0)
+        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), self._config(site_config)) as server:
+            with socket.create_connection(server.server_address[:2], timeout=5) as client:
+                start = time.monotonic()
+                client.sendall(request_bytes)
+                answer = b""
+                try:
+                    while chunk := client.recv(65536):
+                        answer += chunk
+                except ConnectionResetError:  # closed with the rest of a refused request unread
+                    pass
+                elapsed = time.monotonic() - start
+        status_line, *header_lines = answer.partition(b"\r\n\r\n")[0].split(b"\r\n")
+        assert status_line.split(b" ", 2)[:2] == [b"HTTP/1.0", status], answer[:200]
+        names = {line.partition(b":")[0].lower() for line in header_lines}
+        assert {b"date", b"content-type", b"content-length"} <= names
+        assert any(re.fullmatch(_IMF_FIXDATE, line) for line in header_lines), header_lines
+        assert elapsed < 1.0
 
     def test_bind_failure(self, kebnekaise_fixture, site_config):
         blocker = socket.socket()
