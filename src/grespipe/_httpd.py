@@ -13,31 +13,12 @@ from http import HTTPStatus
 from typing import Callable
 
 from . import infoprovider
+from ._wire import END_OF_HEAD, MAX_HEADERS, MAX_LINE_BYTES, DeadlineSocket
 from .lrms import ClusterSnapshot
 
 # Connections served at once, more wait in the listen backlog: the 3 exchanges that
 # the busiest traffic measured (poll-10k's 2 callers) holds at once, and one spare.
 WORKERS = 4
-MAX_LINE_BYTES = 65536  # http.server's limit on the bytes in any line of a request
-MAX_HEADERS = 100  # http.server's limit on the lines after the request line, the blank one included
-_END_OF_HEAD = (b"\r\n", b"\n", b"")  # the blank line, bare LF too, or the client's end of stream
-
-
-class _DeadlineSocket(socket.socket):
-    """An accepted connection whose reads and writes end by one ``deadline``, so a drip cannot hold a worker."""
-
-    def _by_deadline(self, call, *args):
-        left = self.deadline - time.monotonic()
-        if left <= 0:
-            raise TimeoutError("exchange deadline passed")
-        self.settimeout(left)  # sendall's timeout, too, bounds the whole call
-        return call(*args)
-
-    def recv_into(self, *args) -> int:
-        return self._by_deadline(super().recv_into, *args)
-
-    def sendall(self, *args) -> None:
-        return self._by_deadline(super().sendall, *args)
 
 
 class InfoRequestHandler(socketserver.StreamRequestHandler):
@@ -64,9 +45,9 @@ class InfoRequestHandler(socketserver.StreamRequestHandler):
             return _error(HTTPStatus.BAD_REQUEST)
         for _ in range(MAX_HEADERS):  # header lines are read and discarded up to the blank line
             line = self.rfile.readline(MAX_LINE_BYTES + 1)
-            if line in _END_OF_HEAD or len(line) > MAX_LINE_BYTES:
+            if line in END_OF_HEAD or len(line) > MAX_LINE_BYTES:
                 break
-        if line not in _END_OF_HEAD:  # a line too long, or too many
+        if line not in END_OF_HEAD:  # a line too long, or too many
             return _error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE)
         if words[0] != b"GET":
             return _error(HTTPStatus.NOT_IMPLEMENTED)
@@ -112,11 +93,10 @@ class InfoServer(socketserver.TCPServer):
         for thread in self._threads:
             thread.start()
 
-    def get_request(self) -> tuple[_DeadlineSocket, object]:
+    def get_request(self) -> tuple[DeadlineSocket, object]:
         conn, address = super().get_request()
-        conn = _DeadlineSocket(fileno=conn.detach())
-        conn.deadline = time.monotonic() + infoprovider.HANDLER_TIMEOUT_SECONDS  # read at accept, not at import
-        return conn, address
+        deadline = time.monotonic() + infoprovider.HANDLER_TIMEOUT_SECONDS  # read at accept, not at import
+        return DeadlineSocket.adopt(conn, deadline), address
 
     def handle_error(self, request, client_address) -> None:
         if not isinstance(sys.exc_info()[1], OSError):  # quiet on a reset, a hang-up or the deadline

@@ -1,6 +1,8 @@
 """Readers shared by the CLI, the XRSL parser, the client and the fixture, config and manifest
-loaders: every input file and fetched body is read here.  The info endpoint reads its requests
-within its own line, header and deadline limits, and ``lrms`` reads ``sinfo``'s output."""
+loaders: every input file and fetched body is read here, one ``read1`` at a time, so a socket
+read waits no longer than its deadline allows.  The heads of HTTP requests and answers are read
+by the info endpoint and ``fetch_info`` within the limits in ``_wire``, and ``lrms`` reads
+``sinfo``'s output."""
 
 from __future__ import annotations
 
@@ -20,15 +22,20 @@ def ascii_int(text: str) -> int | None:
         return None
 
 
-def read_bounded(stream: BinaryIO, name: object, error: type[Exception]) -> bytes:
-    """Return the rest of ``stream``, read in chunks, as a pipe reports no size;
-    raise ``error`` as soon as it passes :data:`MAX_DOCUMENT_BYTES`."""
-    limit, chunks, size = MAX_DOCUMENT_BYTES, [], 0
-    while chunk := stream.read(_CHUNK_BYTES):
-        size += len(chunk)
-        if size > limit:
-            raise error(f"{name}: document exceeds {limit} bytes")
+def read_bounded(stream: BinaryIO, name: object, error: type[Exception], size: int | None = None) -> bytes:
+    """Return the rest of ``stream``, or its first ``size`` bytes, in chunks of one ``read1`` each, so
+    each wait on a pipe or socket is one raw read; raise ``error`` as soon as it passes
+    :data:`MAX_DOCUMENT_BYTES`, and before any read if ``size`` does.  At the end of the
+    stream fewer than ``size`` bytes are returned."""
+    limit, chunks = MAX_DOCUMENT_BYTES, []
+    if size is not None and size > limit:
+        raise error(f"{name}: document exceeds {limit} bytes")
+    left = limit + 1 if size is None else size  # one byte past the cap tells a document over it
+    while left and (chunk := stream.read1(min(left, _CHUNK_BYTES))):
         chunks.append(chunk)
+        left -= len(chunk)
+    if size is None and not left:
+        raise error(f"{name}: document exceeds {limit} bytes")
     return b"".join(chunks)
 
 

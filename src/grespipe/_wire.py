@@ -1,0 +1,37 @@
+"""The limits of an HTTP/1.0 head and the socket whose exchange ends by one deadline, shared by the info
+endpoint (``_httpd``) and :func:`grespipe.client.fetch_info`, which import this module only when they run."""
+
+from __future__ import annotations
+
+import socket
+import time
+
+MAX_LINE_BYTES = 65536  # http.server's and http.client's limit on the bytes in any line of a head
+MAX_HEADERS = 100  # their limit on the lines after the first line of a head, the blank one included
+END_OF_HEAD = (b"\r\n", b"\n", b"")  # the blank line, bare LF too, or the peer's end of stream
+
+
+class DeadlineSocket(socket.socket):
+    """A connected socket whose reads and writes end by one ``deadline``, so a drip cannot hold either end."""
+
+    deadline: float  # on the time.monotonic() clock
+
+    @classmethod
+    def adopt(cls, sock: socket.socket, deadline: float) -> DeadlineSocket:
+        """Take over ``sock``'s connection, which ``sock`` no longer holds."""
+        adopted = cls(fileno=sock.detach())
+        adopted.deadline = deadline
+        return adopted
+
+    def _by_deadline(self, call, *args):
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("exchange deadline passed")
+        self.settimeout(left)  # sendall's timeout, too, bounds the whole call
+        return call(*args)
+
+    def recv_into(self, *args) -> int:
+        return self._by_deadline(super().recv_into, *args)
+
+    def sendall(self, *args) -> None:
+        return self._by_deadline(super().sendall, *args)

@@ -1,13 +1,18 @@
 """Client side of the pipeline: fetch the info document, parse it back into
 computing-manager records, and format them the way ``arcinfo`` prints them.
 
-``http.client`` and ``xml.etree`` are imported by the functions that use them,
-so a command that neither fetches nor parses does not load them.
+``fetch_info`` makes one HTTP/1.0 GET over a plain socket and reads the
+answer itself, within one deadline for the whole exchange and the info
+endpoint's own head limits, so fetching loads no ``http.client``, ``email``
+or ``ssl``.  ``socket`` and ``xml.etree`` are imported by the functions that
+use them, so a command that neither fetches nor parses does not load them.
 """
 
 from __future__ import annotations
 
-from ._text import read_bounded
+from typing import BinaryIO
+
+from ._text import ascii_int, read_bounded
 from .infoprovider import ComputingManagerRecord, ComputingServiceRecord
 
 __all__ = [
@@ -44,7 +49,7 @@ class FetchError(ClientError):
 
 
 class Unreachable(FetchError):
-    """The endpoint could not be contacted, or did not answer in HTTP."""
+    """The endpoint could not be contacted, did not answer in time, or did not answer in the HTTP this client reads."""
 
 
 class BadStatus(FetchError):
@@ -147,42 +152,89 @@ def format_arcinfo(records: list[ComputingServiceRecord]) -> str:
 
 
 def fetch_info(url: str, timeout: float = 10.0) -> str:
-    """Fetch an info document with one plain-HTTP GET and return its body.
+    """Fetch an info document with one plain ``GET <target> HTTP/1.0`` and return its body.
 
+    ``timeout`` seconds bound the whole exchange: connect, request, head and
+    body.  The head is read within the endpoint's own limits, and only its
+    ``Content-Type``, ``Content-Length`` and ``Transfer-Encoding`` are read.
     Redirects are not followed and proxy variables are not read.  Raises
-    :class:`Unreachable` on connection failure or a non-HTTP answer,
-    :class:`BadStatus` on any non-200 answer, :class:`BadContentType` when the
-    response is not XML, :class:`DocumentTooLarge` when the body exceeds
+    :class:`Unreachable` on connection failure, at the deadline, or on an
+    answer that is not HTTP/1.0 or HTTP/1.1 within those limits, has a bad
+    ``Content-Length`` or any ``Transfer-Encoding``; :class:`BadStatus` on any
+    non-200 answer, :class:`BadContentType` when the response is not XML,
+    :class:`DocumentTooLarge` when the body exceeds
     :data:`grespipe._text.MAX_DOCUMENT_BYTES` and :class:`FetchError` when the
     body ends before its ``Content-Length``.  A URL that is not ``http://`` or
     that carries user information (``user@host``) raises :class:`ValueError`.
     """
-    import http.client
-    from contextlib import closing
+    import socket
+    import time
     from urllib.parse import urlsplit
 
+    from ._wire import DeadlineSocket
+
+    deadline = time.monotonic() + timeout
     parts = urlsplit(url)
     if parts.scheme != "http":
         raise ValueError(f"http URL required, got {url!r}")
-    if "@" in parts.netloc:  # else http.client looks up ``user@host`` as the host name
+    if "@" in parts.netloc:  # refused, rather than its credentials dropped or sent as the Host header
         raise ValueError("user information (user@host) in an info URL is not supported")
     target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    sent = target + parts.netloc  # both go into the request head as they are
+    if not (sent.isascii() and sent.isprintable()) or " " in sent:
+        raise Unreachable(f"cannot fetch {url}: the URL holds a space, a control or a non-ASCII character")
     try:
-        with closing(http.client.HTTPConnection(parts.netloc, timeout=timeout)) as connection:
-            connection.request("GET", target, headers={"Accept": "application/xml"})
-            with connection.getresponse() as response:
-                if response.status != 200:
-                    raise BadStatus(response.status)
-                content_type = response.headers.get("Content-Type", "")
-                body = read_bounded(response, url, DocumentTooLarge)
-                missing = response.length  # bytes the Content-Length promised but never came
+        port = parts.port  # None when the URL names none
+    except ValueError as exc:  # not digits, or not in 0-65535
+        raise Unreachable(f"cannot fetch {url}: {exc}") from exc
+    request = f"GET {target} HTTP/1.0\r\nHost: {parts.netloc}\r\nAccept: application/xml\r\n\r\n"
+    try:
+        connection = socket.create_connection((parts.hostname or "", 80 if port is None else port), timeout)
+        with DeadlineSocket.adopt(connection, deadline) as sock:
+            sock.sendall(request.encode("ascii"))
+            with sock.makefile("rb") as stream:
+                status, content_type, length = _read_head(stream, url)
+                if status != 200:
+                    raise BadStatus(status)
+                mime = content_type.split(";", 1)[0].strip().lower()
+                if mime not in _XML_MIME_TYPES and not mime.endswith("+xml"):
+                    raise BadContentType(f"expected XML, got {content_type!r}")
+                body = read_bounded(stream, url, DocumentTooLarge, length)
+    except TimeoutError as exc:  # the deadline, or a connect that outlived it
+        raise Unreachable(f"cannot reach {url}: no complete answer within {timeout:g} s") from exc
     except OSError as exc:
         raise Unreachable(f"cannot reach {url}: {exc}") from exc
-    except http.client.HTTPException as exc:  # a bad port in the URL, or an answer that is not HTTP
-        raise Unreachable(f"cannot fetch {url}: {exc!r}") from exc
-    if missing:
-        raise FetchError(f"{url}: body ended after {len(body)} of {len(body) + missing} bytes")
-    mime = content_type.split(";", 1)[0].strip().lower()
-    if mime not in _XML_MIME_TYPES and not mime.endswith("+xml"):
-        raise BadContentType(f"expected XML, got {content_type!r}")
+    if length is not None and len(body) < length:
+        raise FetchError(f"{url}: body ended after {len(body)} of {length} bytes")
     return body.decode("utf-8")
+
+
+def _read_head(stream: BinaryIO, url: str) -> tuple[int, str, int | None]:
+    """Read a response head within the endpoint's limits; return its status, ``Content-Type``
+    (``""`` if none) and ``Content-Length`` (``None`` if none, so the body ends with the stream)."""
+    from ._wire import END_OF_HEAD, MAX_HEADERS, MAX_LINE_BYTES
+
+    line = stream.readline(MAX_LINE_BYTES + 1)
+    version, status = (line.split(None, 2) + [b"", b""])[:2]
+    if len(line) > MAX_LINE_BYTES or version not in (b"HTTP/1.0", b"HTTP/1.1") or not (
+        len(status) == 3 and status.isdigit()
+    ):
+        raise Unreachable(f"cannot fetch {url}: not an HTTP/1.0 or HTTP/1.1 status line: {line[:80]!r}")
+    content_type, length = "", None
+    for _ in range(MAX_HEADERS):
+        line = stream.readline(MAX_LINE_BYTES + 1)
+        if line in END_OF_HEAD or len(line) > MAX_LINE_BYTES:
+            break
+        name, _, value = line.partition(b":")
+        name, value = name.lower(), value.strip().decode("latin-1")
+        if name == b"content-type":
+            content_type = value
+        elif name == b"content-length":
+            length = ascii_int(value)
+            if length is None:
+                raise Unreachable(f"cannot fetch {url}: bad Content-Length {value!r}")
+        elif name == b"transfer-encoding":
+            raise Unreachable(f"cannot fetch {url}: Transfer-Encoding {value!r} is not read")
+    if line not in END_OF_HEAD:
+        raise Unreachable(f"cannot fetch {url}: head over {MAX_HEADERS} lines, or a line over {MAX_LINE_BYTES} bytes")
+    return int(status), content_type, length

@@ -9,6 +9,7 @@ import socket
 import string
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -47,15 +48,23 @@ def child_env() -> dict[str, str]:
 
 
 @contextlib.contextmanager
-def answer_once(reply: bytes):
-    """Yield the port of a loopback listener that answers one request with ``reply``."""
-    with socket.create_server(("127.0.0.1", 0)) as listener:
+def answer_once(reply: bytes, drip: bytes = b"", host: str = "127.0.0.1"):
+    """Yield the port of a listener on ``host`` that answers one request with ``reply``,
+    then sends ``drip`` one byte every 0.3 s until it is sent or the client hangs up."""
+    family = socket.AF_INET6 if ":" in host else socket.AF_INET
+    with socket.create_server((host, 0), family=family) as listener:
 
         def answer():
             conn, _addr = listener.accept()
             with conn:
                 conn.recv(4096)
                 conn.sendall(reply)
+                for byte in drip:
+                    time.sleep(0.3)
+                    try:
+                        conn.sendall(bytes([byte]))
+                    except OSError:  # the client hung up
+                        break
 
         server = threading.Thread(target=answer, daemon=True)
         server.start()

@@ -641,15 +641,20 @@ def not_http_url():
     ids=["arcinfo", "match"],
 )
 def test_non_http_exchange_is_input_error(argv, not_http_url, tmp_path, capsys):
-    cases = [(not_http_url, "BadStatusLine"), ("http://127.0.0.1:notaport/info", "InvalidURL")]
+    cases = [
+        (not_http_url, "not an HTTP/1.0 or HTTP/1.1 status line: b'garbage\\r\\n'"),
+        ("http://127.0.0.1:notaport/info", "Port could not be cast to integer value as 'notaport'"),
+    ]
     for url, error in cases:
         assert main([arg.format(url=url, spool=tmp_path / "spool") for arg in argv]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"grespipe: error: cannot fetch {url}: {error}(")
+        assert captured.err == f"grespipe: error: cannot fetch {url}: {error}\n"
     assert not (tmp_path / "spool").exists()
 
 
+# The HTTP stack and what it loads, which neither end of grespipe's own HTTP/1.0 exchange needs.
+_HTTP_STACKS = ("http.server", "http.client", "email", "ssl", "html", "mimetypes")
 # Stdlib modules a grespipe command must not load unless it serves, fetches
 # or shells out: each costs start-up time in every one-shot process.
 _ON_DEMAND_MODULES = (
@@ -763,5 +768,25 @@ def test_serving_loads_no_http_email_or_ssl_stack(bare_modules, tmp_path):
     assert head.startswith(b"HTTP/1.0 200 ")
     assert body == (GOLDEN / "infoprovider.out").read_bytes()
     new = set(proc.stdout.splitlines()) - bare_modules
-    stacks = ("http.server", "http.client", "email", "ssl", "html", "mimetypes")
-    assert sorted(name for name in new if name.split(".")[0] in stacks or name in stacks) == []
+    assert sorted(name for name in new if name.split(".")[0] in _HTTP_STACKS or name in _HTTP_STACKS) == []
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["arcinfo", "{url}"], EXIT_OK),
+        # The sample job asks for k80 where the sample cluster advertises k80ce: refused after the fetch.
+        (["arcsub", str(data.HELLO_XRSL), "--spool-dir", "{spool}", "--match", "{url}"], EXIT_REFUSED),
+    ],
+    ids=["arcinfo", "match"],
+)
+def test_fetching_loads_no_http_email_or_ssl_stack(
+    argv, expected, bare_modules, kebnekaise_fixture, site_config, tmp_path
+):
+    config = dataclasses.replace(site_config, bind="127.0.0.1:0")
+    with serve_info(SlurmFixtureBackend(kebnekaise_fixture), config) as server:
+        argv = [arg.format(url=server.url + "/info", spool=tmp_path / "spool") for arg in argv]
+        code, loaded = _loaded_modules(argv)
+    assert code == expected
+    new = loaded - bare_modules
+    assert sorted(name for name in new if name.split(".")[0] in _HTTP_STACKS or name in _HTTP_STACKS) == []

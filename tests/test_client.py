@@ -409,6 +409,34 @@ def _assert_never_contacted(listener: socket.socket) -> None:
         listener.accept()
 
 
+def _row(name: str, reply: bytes, expected: type[FetchError] | str, drip: bytes = b"", host: str = "127.0.0.1"):
+    """One response edge case: ``reply``, then ``drip`` one byte every 0.3 s, from a listener on
+    ``host``; ``expected`` is the exception class ``fetch_info`` raises or the exact body it returns."""
+    return pytest.param(reply, drip, host, expected, id=name)
+
+
+_XML_HEAD = b"HTTP/1.0 200 OK\r\nContent-Type: application/xml\r\n"
+_RESPONSE_EDGE_CASES = [
+    _row("not-http", b"hello\r\n\r\n", Unreachable),
+    _row("http-1.1", b"HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\nContent-Length: 11\r\n\r\n<InfoRoot/>", "<InfoRoot/>"),
+    _row("bare-lf", b"HTTP/1.0 200 OK\nContent-Type: application/xml\nContent-Length: 11\n\n<InfoRoot/>", "<InfoRoot/>"),
+    _row("line-65537", _XML_HEAD + b"X: " + b"x" * (65537 - 5) + b"\r\n\r\n<InfoRoot/>", Unreachable),
+    _row("101-headers", _XML_HEAD + b"X: y\r\n" * 100 + b"\r\n<InfoRoot/>", Unreachable),
+    _row("99-headers", _XML_HEAD + b"X: y\r\n" * 98 + b"\r\n<InfoRoot/>", "<InfoRoot/>"),
+    _row("length-not-ascii", _XML_HEAD + "Content-Length: \u0661\u0661\r\n\r\n".encode() + b"<InfoRoot/>", Unreachable),
+    _row("length-signed", _XML_HEAD + b"Content-Length: +11\r\n\r\n<InfoRoot/>", Unreachable),
+    # Were a body byte read, the drip would hold the client to its deadline.
+    _row("length-over-cap", _XML_HEAD + b"Content-Length: 67108865\r\n\r\n", DocumentTooLarge, drip=b"<" * 10),
+    _row("extra-bytes", _XML_HEAD + b"Content-Length: 11\r\n\r\n<InfoRoot/>trailing", "<InfoRoot/>"),
+    _row("chunked", _XML_HEAD + b"Transfer-Encoding: chunked\r\n\r\nb\r\n<InfoRoot/>\r\n0\r\n\r\n", Unreachable),
+    _row("no-type", b"HTTP/1.0 200 OK\r\nContent-Length: 11\r\n\r\n<InfoRoot/>", BadContentType),
+    _row("xhtml", b"HTTP/1.0 200 OK\r\nContent-Type: application/xhtml+xml\r\n\r\n<InfoRoot/>", "<InfoRoot/>"),
+    _row("204", b"HTTP/1.0 204 No Content\r\n\r\n", BadStatus),
+    _row("500", b"HTTP/1.0 500 Internal Server Error\r\nContent-Length: 0\r\n\r\n", BadStatus),
+    _row("ipv6-literal", _XML_HEAD + b"\r\n<InfoRoot/>", "<InfoRoot/>", host="::1"),
+]
+
+
 class TestFetchInfo:
     def test_loopback_fetch_matches_served_document(self, kebnekaise_fixture, site_config):
         backend = SlurmFixtureBackend(kebnekaise_fixture)
@@ -515,6 +543,44 @@ class TestFetchInfo:
                 fetch_missing(server.url + "/nonexistent")
                 gc.collect()
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    @pytest.mark.parametrize(
+        "head, drip",
+        [
+            (b"HTTP/1.0 200 OK\r\nContent-Type: application/xml\r\nContent-Length: 20\r\n\r\n", b"<InfoRoot>" + b" " * 10),
+            (b"HTTP/1.0 200 OK\r\nContent-Length: 11\r\nContent-Type: ", b"application/xml\r\n\r\n<InfoRoot/>"),
+        ],
+        ids=["body", "header"],
+    )
+    def test_drip_is_cut_off_at_the_deadline(self, head, drip):
+        with answer_once(head, drip) as port:
+            start = time.monotonic()
+            with pytest.raises(FetchError, match="no complete answer within 1 s"):
+                fetch_info(f"http://127.0.0.1:{port}/info", timeout=1.0)
+            assert time.monotonic() - start < 1.5
+
+    def test_silent_listener_is_cut_off_at_the_deadline(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:  # connects complete, but no answer ever comes
+            start = time.monotonic()
+            with pytest.raises(FetchError, match="no complete answer within 1 s"):
+                fetch_info(f"http://127.0.0.1:{listener.getsockname()[1]}/info", timeout=1.0)
+            assert time.monotonic() - start < 1.5
+
+    @pytest.mark.parametrize("reply, drip, host, expected", _RESPONSE_EDGE_CASES)
+    def test_response_edge_cases(self, reply, drip, host, expected):
+        if ":" in host:
+            try:
+                socket.create_server((host, 0), family=socket.AF_INET6).close()
+            except OSError:
+                pytest.skip("no IPv6 loopback on this machine")
+        with answer_once(reply, drip, host) as port:
+            url = f"http://{f'[{host}]' if ':' in host else host}:{port}/info"
+            if isinstance(expected, str):
+                assert fetch_info(url, timeout=2) == expected
+                return
+            with pytest.raises(FetchError) as excinfo:
+                fetch_info(url, timeout=2)
+        assert type(excinfo.value) is expected, excinfo.value
 
     def test_unreachable_port(self):
         probe = socket.socket()
