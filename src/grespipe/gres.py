@@ -12,6 +12,11 @@ A GRES expression is a comma-separated list of segments, each of the form
 Counts may carry a binary unit suffix (K, M, G, T, P; 1024-based, following
 SLURM's memory-style convention), which is preserved verbatim so that
 rendering reproduces the original text exactly.
+
+:func:`surely_parses` accepts a well-formed line with one regular-expression
+match built from the same grammar.  It is a sufficient check only: a line it
+does not accept may still be valid, and :func:`parse_gres_expression` stays
+the one source of verdicts for such lines and of every error message.
 """
 
 from __future__ import annotations
@@ -29,10 +34,17 @@ __all__ = [
     "TooManyFields",
     "parse_gres_expression",
     "render_gres_expression",
+    "surely_parses",
     "total_capacity",
 ]
 
-_COUNT_RE = re.compile(r"[0-9]+[KMGTP]?\Z")
+_COUNT = "[0-9]+[KMGTP]?"
+_COUNT_RE = re.compile(_COUNT)
+_SEGMENT = f"[^,:]+(?::[^,:]+(?::{_COUNT})?)?"
+_LINE_RE = re.compile(f"{_SEGMENT}(?:,{_SEGMENT})*")
+# CPython's lowest int digit limit (``sys.set_int_max_str_digits``), so int()
+# converts every count in a line of at most this many characters.
+_SURE_CHARS = 640
 _SUFFIX_RANK = {"K": 1, "M": 2, "G": 3, "T": 4, "P": 5}
 # How the parser builds the entries it has already checked, skipping their re-parse.
 _new = object.__new__
@@ -57,6 +69,15 @@ class MalformedCount(GresParseError):
 
 class TooManyFields(GresParseError):
     """A segment has more than three colon-separated tokens."""
+
+
+def surely_parses(text: str) -> bool:
+    """True only if :func:`parse_gres_expression` accepts ``text``.
+
+    False means the parser must decide: the line is malformed, empty or
+    longer than 640 characters.
+    """
+    return len(text) <= _SURE_CHARS and _LINE_RE.fullmatch(text) is not None
 
 
 def expand_count(literal: str) -> int:

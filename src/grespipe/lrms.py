@@ -18,7 +18,7 @@ from functools import cached_property
 from pathlib import Path
 
 from ._text import ascii_int, content_lines
-from .gres import GresParseError, parse_gres_expression
+from .gres import GresParseError, parse_gres_expression, surely_parses
 
 __all__ = [
     "NULL_TOKEN",
@@ -101,7 +101,7 @@ class ClusterFixture:
                 raise InvalidFixture(
                     f"partition {node_class.partition!r}: empty gres line"
                 )
-            if line == NULL_TOKEN:
+            if line == NULL_TOKEN or surely_parses(line):
                 continue
             try:
                 parse_gres_expression(line)

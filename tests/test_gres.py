@@ -1,9 +1,10 @@
 """Tests for the GRES expression grammar and model."""
 
 import dataclasses
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from grespipe.gres import (
@@ -16,6 +17,7 @@ from grespipe.gres import (
     expand_count,
     parse_gres_expression,
     render_gres_expression,
+    surely_parses,
     total_capacity,
 )
 
@@ -253,6 +255,67 @@ def test_parse_is_total_over_ascii(text):
     except GresParseError:
         return
     assert isinstance(result, GresList)
+
+
+# Pieces that reach every branch of the grammar: separators, count digits and
+# suffixes, letters, the null marker, blanks, well-formed expressions and
+# digit runs on either side of the 640-character bound of ``surely_parses``.
+_gres_piece = st.one_of(
+    st.sampled_from([",", ":", "K", "M", "G", "T", "P", "a", "b", "x", "(null)", " ", "\t", "\n"]),
+    st.text(alphabet="0123456789", min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=700).map("9".__mul__),
+    _expression,
+)
+_gres_like = st.lists(_gres_piece, max_size=16).map("".join)
+_at_the_bound = "gpu:k80:" + "9" * 632  # 640 characters, the longest line accepted unparsed
+_past_the_bound = "gpu:k80:" + "9" * 633
+
+
+def _parser_accepts(text: str) -> bool:
+    try:
+        parse_gres_expression(text)
+    except GresParseError:
+        return False
+    return True
+
+
+@pytest.fixture(params=["default", "lowest"])
+def digit_limit(request, int_digits_limit):
+    """The interpreter's int digit limit for one test: CPython's default, then
+    640, the lowest it accepts."""
+    if request.param == "lowest":
+        sys.set_int_max_str_digits(640)
+    return sys.get_int_max_str_digits()
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_gres_like)
+@example(_at_the_bound)
+@example(_past_the_bound)
+@example("gpu:k80:" + "9" * 641)
+def test_surely_parses_only_what_the_parser_accepts(digit_limit, text):
+    if surely_parses(text):
+        assert _parser_accepts(text)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_gres_like.filter(lambda text: 0 < len(text) <= 640))
+@example(_at_the_bound)
+@example("gpu:k80:" + "9" * 630 + "P")
+@example("gpu:1,,mps:1")
+@example("gpu:1,")
+@example("gpu::2")
+@example("gpu:k80:4:1")
+@example("gpu:k80:4x")
+def test_surely_parses_what_the_parser_accepts_up_to_640_characters(digit_limit, text):
+    assert surely_parses(text) == _parser_accepts(text)
+
+
+def test_surely_parses_leaves_longer_lines_to_the_parser():
+    assert surely_parses(_at_the_bound)
+    assert not surely_parses(_past_the_bound)
+    assert _parser_accepts(_past_the_bound)
+    assert not surely_parses("")
 
 
 @given(st.lists(_expression, max_size=4), st.lists(_expression, max_size=4), _token)

@@ -2,11 +2,13 @@
 
 import random
 import re
+import sys
 import time
 
 import pytest
 
 from grespipe import data, lrms
+from grespipe.cli import EXIT_INPUT, main
 from grespipe.gres import parse_gres_expression
 from grespipe.lrms import (
     SINFO_FORMAT,
@@ -25,6 +27,19 @@ from grespipe.lrms import (
 )
 
 from conftest import PREFIXED_LINES, RESOURCE_LINES, SINFO_BARE_LINES, random_fixture
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Every line lrms hands to the GRES parser, in call order."""
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse_gres_expression(text)
+
+    monkeypatch.setattr(lrms, "parse_gres_expression", counting_parse)
+    return calls
 
 
 class TestSinfoQuery:
@@ -112,18 +127,6 @@ class TestCollect:
         with pytest.raises(ValueError, match=re.escape("'(null)'")):
             ClusterSnapshot("x", valid + ("(null)", "") + valid, 0)
 
-    @pytest.fixture
-    def parse_calls(self, monkeypatch):
-        """Every line lrms hands to the GRES parser, in call order."""
-        calls = []
-
-        def counting_parse(text):
-            calls.append(text)
-            return parse_gres_expression(text)
-
-        monkeypatch.setattr(lrms, "parse_gres_expression", counting_parse)
-        return calls
-
     def test_valid_fixture_checked_once(self, kebnekaise_fixture, parse_calls):
         for _ in range(3):
             assert list(collect_cluster_info(kebnekaise_fixture).gres) == RESOURCE_LINES
@@ -155,7 +158,7 @@ class TestCollect:
         for attempt in range(1, 4):
             with pytest.raises(InvalidFixture, match="bad gres line 'gpu:'"):
                 collect_cluster_info(fixture)
-            assert parse_calls == ["gpu:1", "gpu:"] * attempt
+            assert parse_calls == ["gpu:"] * attempt
 
 
 class TestLoadFixture:
@@ -202,6 +205,24 @@ class TestLoadFixture:
         expected = rf"partition 'wide': bad gres line .*segment 1: count of {digits} characters"
         with pytest.raises(InvalidFixture, match=expected):
             load_fixture(path)
+
+    def test_gres_line_past_640_characters_is_parsed_and_loads(self, tmp_path, parse_calls):
+        long_line = ",".join(["gpu:k80:4"] * 70)
+        assert len(long_line) > 640
+        path = tmp_path / "long.fixture"
+        path.write_text(f"main|1|gpu:1\nwide|2|{long_line}\n")
+        assert load_fixture(path).node_classes[1].gres_line == long_line
+        assert parse_calls == [long_line]
+
+    def test_count_past_the_lowest_digit_limit_is_refused(self, tmp_path, int_digits_limit, capsys):
+        sys.set_int_max_str_digits(640)  # the lowest limit CPython accepts
+        path = tmp_path / "bad.fixture"
+        path.write_text(f"main|1|gpu:k80:{'9' * 641}\n")
+        expected = "partition 'main': bad gres line .*segment 0: count of 641 characters in 'gpu' is too long"
+        with pytest.raises(InvalidFixture, match=expected):
+            load_fixture(path)
+        assert main(["mock-sinfo", "--fixture", str(path)]) == EXIT_INPUT == 2
+        assert "count of 641 characters in 'gpu' is too long" in capsys.readouterr().err
 
     def test_fields_keep_inner_text_and_lose_edge_blanks(self, tmp_path):
         path = tmp_path / "spaced.fixture"
