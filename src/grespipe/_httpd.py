@@ -1,19 +1,19 @@
-"""The info endpoint server.  Only :func:`grespipe.infoprovider.serve_info` imports this module, which reads
-its own requests rather than load ``http.server`` and, through it, ``http.client``, ``email`` and ``ssl``."""
+"""The info endpoint, imported only by :func:`grespipe.infoprovider.serve_info`.  It accepts and reads its own
+connections, so serving loads no ``socketserver``, ``http.server``, ``http.client``, ``email`` or ``ssl``."""
 
 from __future__ import annotations
 
+import contextlib
 import select
 import socket
-import socketserver
 import sys
 import threading
 import time
 from http import HTTPStatus
-from typing import Callable
+from typing import BinaryIO, Callable
 
 from . import infoprovider
-from ._wire import END_OF_HEAD, MAX_HEADERS, MAX_LINE_BYTES, DeadlineSocket
+from ._wire import MAX_LINE_BYTES, DeadlineSocket, header_lines
 from .lrms import ClusterSnapshot
 
 # Connections served at once, more wait in the listen backlog: the 3 exchanges that
@@ -21,60 +21,18 @@ from .lrms import ClusterSnapshot
 WORKERS = 4
 
 
-class InfoRequestHandler(socketserver.StreamRequestHandler):
-    """Answers ``GET /info`` with the current document and ``GET /healthz`` with ``ok``, in HTTP/1.0, then closes."""
-
-    server: InfoServer
-
-    def handle(self) -> None:
-        request_line = self.rfile.readline(MAX_LINE_BYTES + 1)
-        if not request_line:  # the client closed without a request: no answer
-            return
-        status, content_type, body = self._answer(request_line)
-        day, month, mday, clock, year = time.asctime(time.gmtime()).split()  # English names in any locale
-        date = f"{day}, {mday.zfill(2)} {month} {year} {clock} GMT"  # IMF-fixdate, RFC 9110 section 5.6.7
-        head = f"HTTP/1.0 {status.value} {status.phrase}\r\nDate: {date}\r\nContent-Type: {content_type}\r\n"
-        self.wfile.write(f"{head}Content-Length: {len(body)}\r\n\r\n".encode("ascii"))
-        self.wfile.write(body)  # the served bytes themselves, not a copy
-
-    def _answer(self, request_line: bytes) -> tuple[HTTPStatus, str, bytes]:
-        if len(request_line) > MAX_LINE_BYTES:
-            return _error(HTTPStatus.REQUEST_URI_TOO_LONG)
-        words = request_line.split()
-        if len(words) != 3 or words[2] not in (b"HTTP/1.0", b"HTTP/1.1"):
-            return _error(HTTPStatus.BAD_REQUEST)
-        for _ in range(MAX_HEADERS):  # header lines are read and discarded up to the blank line
-            line = self.rfile.readline(MAX_LINE_BYTES + 1)
-            if line in END_OF_HEAD or len(line) > MAX_LINE_BYTES:
-                break
-        if line not in END_OF_HEAD:  # a line too long, or too many
-            return _error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE)
-        if words[0] != b"GET":
-            return _error(HTTPStatus.NOT_IMPLEMENTED)
-        path = words[1].split(b"?", 1)[0]
-        path = b"/" + path.lstrip(b"/") if path.startswith(b"//") else path  # as http.server reads //info
-        if path == b"/info":
-            return HTTPStatus.OK, "application/xml", self.server.document
-        if path == b"/healthz":
-            return HTTPStatus.OK, "text/plain", b"ok"
-        return _error(HTTPStatus.NOT_FOUND)
-
-
 def _error(status: HTTPStatus) -> tuple[HTTPStatus, str, bytes]:
     return status, "text/plain", status.phrase.encode("ascii")
 
 
-class InfoServer(socketserver.TCPServer):
-    """HTTP info endpoint serving the rendered document on ``GET /info`` from
-    :data:`WORKERS` threads, running once constructed.
+class InfoServer(contextlib.AbstractContextManager):
+    """HTTP info endpoint answering ``GET /info`` with the rendered document and ``GET /healthz``
+    with ``ok``, in HTTP/1.0, from :data:`WORKERS` threads, running once constructed.
 
     The served document is an immutable bytes snapshot swapped atomically by
     a single refresher thread, so concurrent readers never observe a torn mix
     of two snapshots and handlers never block on collection.
     """
-
-    allow_reuse_address = True  # a restart binds while served connections sit in TIME_WAIT
-    request_queue_size = socket.SOMAXCONN  # the kernel caps it; a burst of connects waits, not retries
 
     def __init__(self, record_source: Callable[[], ClusterSnapshot], config: infoprovider.SiteConfig):
         self._collect = record_source
@@ -82,9 +40,12 @@ class InfoServer(socketserver.TCPServer):
         self._gres = None  # the gres the served document was rendered from
         self._refresh()  # before binding, so a failure leaves nothing open
         try:
-            super().__init__(infoprovider.split_bind(config.bind), InfoRequestHandler)
+            # SO_REUSEADDR, so a restart binds while served connections sit in TIME_WAIT; the
+            # kernel caps the backlog, so a burst of connects waits rather than retries.
+            self.socket = socket.create_server(infoprovider.split_bind(config.bind), backlog=socket.SOMAXCONN)
         except OSError as exc:
             raise infoprovider.BindFailure(f"cannot bind {config.bind}: {exc}") from exc
+        self.server_address = self.socket.getsockname()
         self._stop = threading.Event()
         self.socket.setblocking(False)  # every worker wakes for a connection; the losers' accept() fails
         self._wake, self._waker = socket.socketpair()  # stop() closes _waker, so _wake reads as ended for all
@@ -93,18 +54,48 @@ class InfoServer(socketserver.TCPServer):
         for thread in self._threads:
             thread.start()
 
-    def get_request(self) -> tuple[DeadlineSocket, object]:
-        conn, address = super().get_request()
-        deadline = time.monotonic() + infoprovider.HANDLER_TIMEOUT_SECONDS  # read at accept, not at import
-        return DeadlineSocket.adopt(conn, deadline), address
-
-    def handle_error(self, request, client_address) -> None:
-        if not isinstance(sys.exc_info()[1], OSError):  # quiet on a reset, a hang-up or the deadline
-            super().handle_error(request, client_address)
-
     def _serve_loop(self) -> None:
-        while self._wake not in select.select([self, self._wake], [], [])[0]:
-            self._handle_request_noblock()
+        while self._wake not in select.select([self.socket, self._wake], [], [])[0]:
+            try:
+                conn = self.socket.accept()[0]
+                deadline = time.monotonic() + infoprovider.HANDLER_TIMEOUT_SECONDS  # read at accept, not at import
+                with DeadlineSocket.adopt(conn, deadline) as sock:
+                    self._exchange(sock)
+                    sock.shutdown(socket.SHUT_WR)
+            except OSError:  # quiet on an accept() lost or failed, and on a reset, a hang-up or the deadline
+                pass
+            except Exception:  # a fault of the server's own: reported, and the worker serves on
+                sys.excepthook(*sys.exc_info())
+
+    def _exchange(self, sock: DeadlineSocket) -> None:
+        with sock.makefile("rb") as stream:
+            request_line = stream.readline(MAX_LINE_BYTES + 1)
+            if not request_line:  # the client closed without a request: no answer
+                return
+            status, content_type, body = self._answer(request_line, stream)
+        day, month, mday, clock, year = time.asctime(time.gmtime()).split()  # English names in any locale
+        date = f"{day}, {mday.zfill(2)} {month} {year} {clock} GMT"  # IMF-fixdate, RFC 9110 section 5.6.7
+        head = f"HTTP/1.0 {status.value} {status.phrase}\r\nDate: {date}\r\nContent-Type: {content_type}\r\n"
+        sock.sendall(f"{head}Content-Length: {len(body)}\r\n\r\n".encode("ascii"))
+        sock.sendall(body)  # the served bytes themselves, not a copy
+
+    def _answer(self, request_line: bytes, stream: BinaryIO) -> tuple[HTTPStatus, str, bytes]:
+        if len(request_line) > MAX_LINE_BYTES:
+            return _error(HTTPStatus.REQUEST_URI_TOO_LONG)
+        words = request_line.split()
+        if len(words) != 3 or words[2] not in (b"HTTP/1.0", b"HTTP/1.1"):
+            return _error(HTTPStatus.BAD_REQUEST)
+        if header_lines(stream) is None:  # a line too long, or too many
+            return _error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE)
+        if words[0] != b"GET":
+            return _error(HTTPStatus.NOT_IMPLEMENTED)
+        path = words[1].split(b"?", 1)[0]
+        path = b"/" + path.lstrip(b"/") if path.startswith(b"//") else path  # as http.server reads //info
+        if path == b"/info":
+            return HTTPStatus.OK, "application/xml", self.document
+        if path == b"/healthz":
+            return HTTPStatus.OK, "text/plain", b"ok"
+        return _error(HTTPStatus.NOT_FOUND)
 
     def _refresh(self) -> None:
         """Collect a snapshot; build and render it only when its gres differ
@@ -137,7 +128,7 @@ class InfoServer(socketserver.TCPServer):
         self._waker.close()
         for thread in self._threads:
             thread.join()
-        self.server_close()
+        self.socket.close()
         self._wake.close()
 
     def __exit__(self, *exc_info) -> None:

@@ -1,8 +1,7 @@
 """Readers shared by the CLI, the XRSL parser, the client and the fixture, config and manifest
 loaders: every input file and fetched body is read here, one ``read1`` at a time, so a socket
-read waits no longer than its deadline allows.  The heads of HTTP requests and answers are read
-by the info endpoint and ``fetch_info`` within the limits in ``_wire``, and ``lrms`` reads
-``sinfo``'s output."""
+read waits no longer than its deadline allows.  HTTP header lines are read by ``_wire.header_lines``,
+and ``lrms`` reads ``sinfo``'s output."""
 
 from __future__ import annotations
 

@@ -159,9 +159,9 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
     ``Content-Type``, ``Content-Length`` and ``Transfer-Encoding`` are read.
     Redirects are not followed and proxy variables are not read.  Raises
     :class:`Unreachable` on connection failure, at the deadline, or on an
-    answer that is not HTTP/1.0 or HTTP/1.1 within those limits, has a bad
-    ``Content-Length`` or any ``Transfer-Encoding``; :class:`BadStatus` on any
-    non-200 answer, :class:`BadContentType` when the response is not XML,
+    answer that is not HTTP/1.0 or HTTP/1.1 within those limits, has a bad or
+    conflicting ``Content-Length`` or any ``Transfer-Encoding``; :class:`BadStatus`
+    on any non-200 answer, :class:`BadContentType` when the response is not XML,
     :class:`DocumentTooLarge` when the body exceeds
     :data:`grespipe._text.MAX_DOCUMENT_BYTES` and :class:`FetchError` when the
     body ends before its ``Content-Length``.  A URL that is not ``http://`` or
@@ -212,7 +212,7 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
 def _read_head(stream: BinaryIO, url: str) -> tuple[int, str, int | None]:
     """Read a response head within the endpoint's limits; return its status, ``Content-Type``
     (``""`` if none) and ``Content-Length`` (``None`` if none, so the body ends with the stream)."""
-    from ._wire import END_OF_HEAD, MAX_HEADERS, MAX_LINE_BYTES
+    from ._wire import MAX_HEADERS, MAX_LINE_BYTES, header_lines
 
     line = stream.readline(MAX_LINE_BYTES + 1)
     version, status = (line.split(None, 2) + [b"", b""])[:2]
@@ -220,21 +220,22 @@ def _read_head(stream: BinaryIO, url: str) -> tuple[int, str, int | None]:
         len(status) == 3 and status.isdigit()
     ):
         raise Unreachable(f"cannot fetch {url}: not an HTTP/1.0 or HTTP/1.1 status line: {line[:80]!r}")
+    lines = header_lines(stream)
+    if lines is None:
+        raise Unreachable(f"cannot fetch {url}: head over {MAX_HEADERS} lines, or a line over {MAX_LINE_BYTES} bytes")
     content_type, length = "", None
-    for _ in range(MAX_HEADERS):
-        line = stream.readline(MAX_LINE_BYTES + 1)
-        if line in END_OF_HEAD or len(line) > MAX_LINE_BYTES:
-            break
+    for line in lines:
         name, _, value = line.partition(b":")
         name, value = name.lower(), value.strip().decode("latin-1")
         if name == b"content-type":
             content_type = value
         elif name == b"content-length":
-            length = ascii_int(value)
-            if length is None:
+            number = ascii_int(value)
+            if number is None:
                 raise Unreachable(f"cannot fetch {url}: bad Content-Length {value!r}")
+            if length not in (None, number):  # the body's end is unknown (RFC 9112 section 6.3)
+                raise Unreachable(f"cannot fetch {url}: conflicting Content-Length {length} and {number}")
+            length = number
         elif name == b"transfer-encoding":
             raise Unreachable(f"cannot fetch {url}: Transfer-Encoding {value!r} is not read")
-    if line not in END_OF_HEAD:
-        raise Unreachable(f"cannot fetch {url}: head over {MAX_HEADERS} lines, or a line over {MAX_LINE_BYTES} bytes")
     return int(status), content_type, length

@@ -654,7 +654,7 @@ def test_non_http_exchange_is_input_error(argv, not_http_url, tmp_path, capsys):
 
 
 # The HTTP stack and what it loads, which neither end of grespipe's own HTTP/1.0 exchange needs.
-_HTTP_STACKS = ("http.server", "http.client", "email", "ssl", "html", "mimetypes")
+_HTTP_STACKS = ("http.server", "socketserver", "http.client", "email", "ssl", "html", "mimetypes")
 # Stdlib modules a grespipe command must not load unless it serves, fetches
 # or shells out: each costs start-up time in every one-shot process.
 _ON_DEMAND_MODULES = (

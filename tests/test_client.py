@@ -420,14 +420,22 @@ _RESPONSE_EDGE_CASES = [
     _row("not-http", b"hello\r\n\r\n", Unreachable),
     _row("http-1.1", b"HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\nContent-Length: 11\r\n\r\n<InfoRoot/>", "<InfoRoot/>"),
     _row("bare-lf", b"HTTP/1.0 200 OK\nContent-Type: application/xml\nContent-Length: 11\n\n<InfoRoot/>", "<InfoRoot/>"),
+    # A line of exactly 65,536 bytes with its CRLF is within the limit.
+    _row("line-65536", _XML_HEAD + b"X: " + b"x" * (65536 - 5) + b"\r\n\r\n<InfoRoot/>", "<InfoRoot/>"),
     _row("line-65537", _XML_HEAD + b"X: " + b"x" * (65537 - 5) + b"\r\n\r\n<InfoRoot/>", Unreachable),
+    # Content-Type and the X lines are the header fields; the blank line is the head's 100th line after
+    # the status line with 99 of them, its 101st with 100.
     _row("101-headers", _XML_HEAD + b"X: y\r\n" * 100 + b"\r\n<InfoRoot/>", Unreachable),
+    _row("100-headers", _XML_HEAD + b"X: y\r\n" * 99 + b"\r\n<InfoRoot/>", Unreachable),
     _row("99-headers", _XML_HEAD + b"X: y\r\n" * 98 + b"\r\n<InfoRoot/>", "<InfoRoot/>"),
     _row("length-not-ascii", _XML_HEAD + "Content-Length: \u0661\u0661\r\n\r\n".encode() + b"<InfoRoot/>", Unreachable),
     _row("length-signed", _XML_HEAD + b"Content-Length: +11\r\n\r\n<InfoRoot/>", Unreachable),
     # Were a body byte read, the drip would hold the client to its deadline.
     _row("length-over-cap", _XML_HEAD + b"Content-Length: 67108865\r\n\r\n", DocumentTooLarge, drip=b"<" * 10),
     _row("extra-bytes", _XML_HEAD + b"Content-Length: 11\r\n\r\n<InfoRoot/>trailing", "<InfoRoot/>"),
+    # Differing lengths leave the body's end unknown (RFC 9112 section 6.3); equal repeats agree on it.
+    _row("length-conflict", _XML_HEAD + b"Content-Length: 11\r\nContent-Length: 5\r\n\r\n<InfoRoot/>", Unreachable),
+    _row("length-repeated", _XML_HEAD + b"Content-Length: 11\r\nContent-Length: 11\r\n\r\n<InfoRoot/>", "<InfoRoot/>"),
     _row("chunked", _XML_HEAD + b"Transfer-Encoding: chunked\r\n\r\nb\r\n<InfoRoot/>\r\n0\r\n\r\n", Unreachable),
     _row("no-type", b"HTTP/1.0 200 OK\r\nContent-Length: 11\r\n\r\n<InfoRoot/>", BadContentType),
     _row("xhtml", b"HTTP/1.0 200 OK\r\nContent-Type: application/xhtml+xml\r\n\r\n<InfoRoot/>", "<InfoRoot/>"),

@@ -358,6 +358,49 @@ class TestServeInfo:
                     pass
                 assert time.monotonic() - start < 0.5 + 0.5
 
+    def test_stop_twice_is_quiet_and_frees_the_port(self, kebnekaise_fixture, site_config, capfd):
+        before = set(threading.enumerate())
+        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), self._config(site_config)) as server:
+            port = server.server_address[1]
+            server.stop()
+        server.stop()  # the third time, after the exit's
+        assert set(threading.enumerate()) - before == set()
+        assert capfd.readouterr().err == ""
+        # No connection was served, so none sits in TIME_WAIT: a bind without SO_REUSEADDR succeeds.
+        with socket.socket() as again:
+            again.bind(("127.0.0.1", port))
+            again.listen(1)
+
+    def test_fault_in_an_answer_is_reported_and_the_workers_serve_on(
+        self, kebnekaise_fixture, site_config, monkeypatch, capfd
+    ):
+        answer = _httpd.InfoServer._answer
+        faults = [RuntimeError("injected answer fault")]
+
+        def answer_or_fail_once(server, *args):
+            if faults:
+                raise faults.pop()
+            return answer(server, *args)
+
+        monkeypatch.setattr(_httpd.InfoServer, "_answer", answer_or_fail_once)
+        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), self._config(site_config)) as server:
+            threads = threading.active_count()
+            with socket.create_connection(server.server_address[:2], timeout=5) as client:
+                client.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+                try:
+                    assert client.recv(1) == b""  # closed with no answer
+                except ConnectionResetError:
+                    pass
+            assert faults == []
+            for _ in range(_httpd.WORKERS + 1):
+                with urllib.request.urlopen(server.url + "/healthz", timeout=5) as response:
+                    assert response.read() == b"ok"
+            assert threading.active_count() == threads  # no worker died of the fault
+        err = capfd.readouterr().err
+        assert "Traceback (most recent call last):" in err
+        assert "RuntimeError: injected answer fault" in err
+        assert "Exception in thread" not in err  # reported by the worker, not by a dying thread
+
     def test_stop_is_prompt_while_every_worker_waits_for_a_connection(self, kebnekaise_fixture, site_config):
         server = serve_info(SlurmFixtureBackend(kebnekaise_fixture), self._config(site_config))
         with urllib.request.urlopen(server.url + "/healthz", timeout=5) as response:
@@ -421,6 +464,9 @@ class TestServeInfo:
             (b"HEAD /info HTTP/1.0\r\n\r\n", b"501"),
             (b"POST /info HTTP/1.0\r\nContent-Length: 2\r\n\r\nhi", b"501"),
             (b"GET /" + b"a" * 65536 + b" HTTP/1.0\r\n\r\n", b"414"),
+            # Lines of exactly 65,536 bytes with their CRLF are within the limit.
+            (b"GET /" + b"a" * (65536 - 16) + b" HTTP/1.0\r\n\r\n", b"404"),
+            (b"GET /info HTTP/1.0\r\nX: " + b"a" * (65536 - 5) + b"\r\n\r\n", b"200"),
             (b"GET /info HTTP/1.0\r\nX: " + b"a" * 65536 + b"\r\n\r\n", b"431"),
             # http.server counts the blank line that ends the head among its 100 lines.
             (b"GET /info HTTP/1.0\r\n" + b"X: a\r\n" * 99 + b"\r\n", b"200"),
@@ -433,8 +479,8 @@ class TestServeInfo:
         ],
         ids=[
             "http-1.0", "http-1.1", "query", "bare-lf", "unknown-path", "absolute-form", "head", "post",
-            "long-request-line", "long-header", "99-headers", "100-headers", "101-headers", "http-0.9",
-            "hello", "http-1.x", "http-2.0",
+            "long-request-line", "request-line-65536", "header-65536", "long-header", "99-headers", "100-headers",
+            "101-headers", "http-0.9", "hello", "http-1.x", "http-2.0",
         ],
     )
     def test_request_edge_cases(self, request_bytes, status, kebnekaise_fixture, site_config, monkeypatch):
