@@ -4,13 +4,15 @@ connections, so serving loads no ``socketserver``, ``http.server``, ``http.clien
 from __future__ import annotations
 
 import contextlib
+import os
 import select
 import socket
 import sys
 import threading
 import time
+from collections.abc import Callable
 from http import HTTPStatus
-from typing import BinaryIO, Callable
+from io import BufferedIOBase
 
 from . import infoprovider
 from ._wire import MAX_LINE_BYTES, DeadlineSocket, header_lines
@@ -43,8 +45,9 @@ class InfoServer(contextlib.AbstractContextManager):
             # SO_REUSEADDR, so a restart binds while served connections sit in TIME_WAIT; the
             # kernel caps the backlog, so a burst of connects waits rather than retries.
             self.socket = socket.create_server(infoprovider.split_bind(config.bind), backlog=socket.SOMAXCONN)
-        except OSError as exc:
-            raise infoprovider.BindFailure(f"cannot bind {config.bind}: {exc}") from exc
+        except OSError as exc:  # its text ends with the address again, so the message is built from its errno
+            reason = f"[Errno {exc.errno}] {os.strerror(exc.errno)}" if exc.errno and exc.errno > 0 else exc
+            raise infoprovider.BindFailure(f"cannot bind {config.bind}: {reason}") from exc
         self.server_address = self.socket.getsockname()
         self._stop = threading.Event()
         self.socket.setblocking(False)  # every worker wakes for a connection; the losers' accept() fails
@@ -79,7 +82,7 @@ class InfoServer(contextlib.AbstractContextManager):
         sock.sendall(f"{head}Content-Length: {len(body)}\r\n\r\n".encode("ascii"))
         sock.sendall(body)  # the served bytes themselves, not a copy
 
-    def _answer(self, request_line: bytes, stream: BinaryIO) -> tuple[HTTPStatus, str, bytes]:
+    def _answer(self, request_line: bytes, stream: BufferedIOBase) -> tuple[HTTPStatus, str, bytes]:
         if len(request_line) > MAX_LINE_BYTES:
             return _error(HTTPStatus.REQUEST_URI_TOO_LONG)
         words = request_line.split()

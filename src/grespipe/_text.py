@@ -5,8 +5,9 @@ and ``lrms`` reads ``sinfo``'s output."""
 
 from __future__ import annotations
 
+from collections.abc import Container, Iterator
+from io import BufferedIOBase
 from pathlib import Path
-from typing import BinaryIO, Container, Iterator
 
 # An input file or fetched body above this many bytes is refused rather than held in memory.
 MAX_DOCUMENT_BYTES = 64 * 1024 * 1024
@@ -21,7 +22,7 @@ def ascii_int(text: str) -> int | None:
         return None
 
 
-def read_bounded(stream: BinaryIO, name: object, error: type[Exception], size: int | None = None) -> bytes:
+def read_bounded(stream: BufferedIOBase, name: object, error: type[Exception], size: int | None = None) -> bytes:
     """Return the rest of ``stream``, or its first ``size`` bytes, in chunks of one ``read1`` each, so
     each wait on a pipe or socket is one raw read; raise ``error`` as soon as it passes
     :data:`MAX_DOCUMENT_BYTES`, and before any read if ``size`` does.  At the end of the

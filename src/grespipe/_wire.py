@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import socket
 import time
-from typing import BinaryIO
+from io import BufferedIOBase
 
 MAX_LINE_BYTES = 65536  # http.server's and http.client's limit on the bytes in any line of a head
 MAX_HEADERS = 100  # their limit on the lines after the first line of a head, the blank one included
 
 
-def header_lines(stream: BinaryIO) -> list[bytes] | None:
+def header_lines(stream: BufferedIOBase) -> list[bytes] | None:
     """Return the lines after a head's first line, up to the blank one (bare LF too) or the end of ``stream``;
     ``None`` once a line passes :data:`MAX_LINE_BYTES` or :data:`MAX_HEADERS` lines hold no end of the head."""
     lines = []

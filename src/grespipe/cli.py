@@ -20,7 +20,6 @@ environment variables are prefixed ``GRESPIPE_`` (``GRESPIPE_FIXTURE``,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -31,7 +30,7 @@ from pathlib import Path
 from . import data
 from .client import ClientError, NoServices, fetch_info, format_arcinfo, parse_execution_targets
 from ._text import key_values, read_text
-from .infoprovider import BadConfig, BindFailure, SiteConfig, build_computing_service, render_glue2_xml, serve_info
+from .infoprovider import DEFAULT_BIND, BadConfig, BindFailure, build_computing_service, render_glue2_xml, serve_info
 from .jobsubmit import (
     JobSubmitError,
     advertised_gres,
@@ -67,7 +66,7 @@ _SETTINGS = {
     "site_config": data.SITE_CONF,
     "rte_dir": data.RTE_DIR,
     "spool_dir": "spool",
-    "endpoint": SiteConfig.bind,
+    "endpoint": DEFAULT_BIND,
 }
 
 
@@ -118,6 +117,10 @@ def cmd_mock_sinfo(args: argparse.Namespace) -> int:
 
 
 def cmd_infoprovider(args: argparse.Namespace) -> int:
+    import dataclasses
+
+    from .infoprovider import SiteConfig  # the one command that reads a site config loads dataclasses
+
     settings = _Settings(args)
     fixture = load_fixture(settings["fixture"])
     site = SiteConfig.from_file(settings["site_config"])

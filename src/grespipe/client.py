@@ -10,7 +10,7 @@ use them, so a command that neither fetches nor parses does not load them.
 
 from __future__ import annotations
 
-from typing import BinaryIO
+from io import BufferedIOBase
 
 from ._text import ascii_int, read_bounded
 from .infoprovider import ComputingManagerRecord, ComputingServiceRecord
@@ -209,7 +209,7 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
     return body.decode("utf-8")
 
 
-def _read_head(stream: BinaryIO, url: str) -> tuple[int, str, int | None]:
+def _read_head(stream: BufferedIOBase, url: str) -> tuple[int, str, int | None]:
     """Read a response head within the endpoint's limits; return its status, ``Content-Type``
     (``""`` if none) and ``Content-Length`` (``None`` if none, so the body ends with the stream)."""
     from ._wire import MAX_HEADERS, MAX_LINE_BYTES, header_lines

@@ -22,8 +22,9 @@ the one source of verdicts for such lines and of every error message.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
+
+from ._record import Record, set_field
 
 __all__ = [
     "GresEntry",
@@ -48,7 +49,6 @@ _SURE_CHARS = 640
 _SUFFIX_RANK = {"K": 1, "M": 2, "G": 3, "T": 4, "P": 5}
 # How the parser builds the entries it has already checked, skipping their re-parse.
 _new = object.__new__
-_set_field = object.__setattr__
 
 
 class GresParseError(ValueError):
@@ -98,8 +98,7 @@ def _count_value(literal: str) -> int:
     return int(literal)
 
 
-@dataclass(frozen=True)
-class GresEntry:
+class GresEntry(Record):
     """One parsed GRES segment.
 
     ``count_literal`` is the count token exactly as written (digits plus
@@ -109,12 +108,13 @@ class GresEntry:
     original forms, as do suffixed counts like ``16G``.
     """
 
-    name: str
-    subtype: str | None = None
-    count: int = 1
-    count_literal: str | None = None
+    __slots__ = __match_args__ = ("name", "subtype", "count", "count_literal")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, subtype: str | None = None, count: int = 1, count_literal: str | None = None):
+        set_field(self, "name", name)
+        set_field(self, "subtype", subtype)
+        set_field(self, "count", count)
+        set_field(self, "count_literal", count_literal)
         # The parser builds its entries without this check, so this does not recurse.
         if parse_gres_expression(str(self)).entries != (self,):
             raise ValueError(f"{self!r} does not parse back from {str(self)!r}")
@@ -135,11 +135,13 @@ class GresEntry:
         return ":".join(parts)
 
 
-@dataclass(frozen=True)
-class GresList:
+class GresList(Record):
     """An ordered list of GRES entries; order is preserved exactly as parsed."""
 
-    entries: tuple[GresEntry, ...] = ()
+    __slots__ = __match_args__ = ("entries",)
+
+    def __init__(self, entries: tuple[GresEntry, ...] = ()):
+        set_field(self, "entries", entries)
 
     def __iter__(self) -> Iterator[GresEntry]:
         return iter(self.entries)
@@ -203,10 +205,10 @@ def parse_gres_expression(text: str) -> GresList:
                     f"count of {len(literal)} characters in {name!r} is too long", index
                 ) from None
         entry = _new(GresEntry)
-        _set_field(entry, "name", name)
-        _set_field(entry, "subtype", subtype)
-        _set_field(entry, "count", count)
-        _set_field(entry, "count_literal", literal)
+        set_field(entry, "name", name)
+        set_field(entry, "subtype", subtype)
+        set_field(entry, "count", count)
+        set_field(entry, "count_literal", literal)
         entries.append(entry)
     return GresList(tuple(entries))
 

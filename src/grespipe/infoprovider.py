@@ -19,12 +19,10 @@ by the first failure.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Mapping, Union
+from collections.abc import Callable, Mapping
 
-from ._text import ascii_int, key_values
+from ._record import Record, set_field
+from ._text import ascii_int
 from .lrms import ClusterSnapshot
 
 __all__ = [
@@ -39,8 +37,7 @@ __all__ = [
     "split_bind",
 ]
 
-_REQUIRED_KEYS = ("admin_domain", "service_id", "manager_name")
-_ALL_KEYS = _REQUIRED_KEYS + ("bind", "refresh_interval_seconds")
+DEFAULT_BIND = "127.0.0.1:8070"
 _CONTROL_CHARS = tuple(map(chr, range(0x20)))
 # A connection is dropped once its whole exchange, request and response,
 # has taken this long, so a slow or idle client cannot hold a server worker.
@@ -66,57 +63,28 @@ def split_bind(bind: str) -> tuple[str, int]:
     return host, port
 
 
-@dataclass(frozen=True)
-class SiteConfig:
-    """Site identity plus endpoint settings for the info service."""
+def __getattr__(name: str):
+    # SiteConfig, the one dataclass, is defined on first use, so that only the
+    # commands that read a site config load ``dataclasses``.
+    if name == "SiteConfig":
+        from ._siteconfig import SiteConfig
 
-    admin_domain: str
-    service_id: str
-    manager_name: str
-    bind: str = "127.0.0.1:8070"
-    refresh_interval_seconds: float = 30.0
-
-    def __post_init__(self) -> None:
-        missing = [key for key in _REQUIRED_KEYS if not getattr(self, key)]
-        if missing:
-            raise BadConfig(f"missing required config keys: {', '.join(missing)}")
-        # nan would make the refresher spin; above TIMEOUT_MAX Event.wait raises.
-        if not 0 < self.refresh_interval_seconds <= threading.TIMEOUT_MAX:
-            raise BadConfig(f"refresh_interval_seconds must be in (0, {threading.TIMEOUT_MAX:g}]")
-        split_bind(self.bind)
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, str]) -> "SiteConfig":
-        unknown = set(mapping) - set(_ALL_KEYS)
-        if unknown:
-            raise BadConfig(f"unknown config keys: {', '.join(sorted(unknown))}")
-        kwargs: dict = {key: mapping.get(key, "") for key in _REQUIRED_KEYS}
-        if "bind" in mapping:
-            kwargs["bind"] = mapping["bind"]
-        if "refresh_interval_seconds" in mapping:
-            try:
-                kwargs["refresh_interval_seconds"] = float(mapping["refresh_interval_seconds"])
-            except ValueError as exc:
-                raise BadConfig("refresh_interval_seconds must be a number") from exc
-        return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SiteConfig":
-        """Load ``key = value`` lines; ``#`` comments and blanks are ignored."""
-        lines = key_values(Path(path), BadConfig)
-        return cls.from_mapping({key: value for _lineno, key, value in lines})
+        return SiteConfig
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class ComputingManagerRecord:
+class ComputingManagerRecord(Record):
     """Computing-manager attributes: LRMS flavour plus its resource strings.
 
     Construction is permissive so the client can represent whatever a foreign
     document says; :meth:`validate` enforces the publishing-side contract.
     """
 
-    manager_name: str
-    general_resources: tuple[str, ...] = ()
+    __slots__ = __match_args__ = ("manager_name", "general_resources")
+
+    def __init__(self, manager_name: str, general_resources: tuple[str, ...] = ()):
+        set_field(self, "manager_name", manager_name)
+        set_field(self, "general_resources", general_resources)
 
     def validate(self) -> None:
         if not self.manager_name:
@@ -131,11 +99,13 @@ class ComputingManagerRecord:
             raise ValueError(f"resource string contains control characters: {resource!r}")
 
 
-@dataclass(frozen=True)
-class ComputingServiceRecord:
-    admin_domain: str
-    service_id: str
-    manager: ComputingManagerRecord
+class ComputingServiceRecord(Record):
+    __slots__ = __match_args__ = ("admin_domain", "service_id", "manager")
+
+    def __init__(self, admin_domain: str, service_id: str, manager: ComputingManagerRecord):
+        set_field(self, "admin_domain", admin_domain)
+        set_field(self, "service_id", service_id)
+        set_field(self, "manager", manager)
 
     def validate(self) -> None:
         if not self.service_id:
@@ -145,7 +115,7 @@ class ComputingServiceRecord:
 
 def build_computing_service(
     snapshot: ClusterSnapshot,
-    site_config: Union[SiteConfig, Mapping[str, str]],
+    site_config: SiteConfig | Mapping[str, str],
 ) -> ComputingServiceRecord:
     """Assemble the service record for a snapshot.
 
@@ -154,6 +124,8 @@ def build_computing_service(
     plain mapping (validated via :meth:`SiteConfig.from_mapping`, raising
     :class:`BadConfig` on missing keys).
     """
+    from ._siteconfig import SiteConfig
+
     if not isinstance(site_config, SiteConfig):
         site_config = SiteConfig.from_mapping(site_config)
     record = ComputingServiceRecord(

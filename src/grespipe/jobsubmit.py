@@ -15,10 +15,10 @@ from __future__ import annotations
 import re
 import shlex
 import time
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
 
+from ._record import Record, set_field
 from ._text import key_values
 from .gres import GresEntry, GresList, GresParseError, parse_gres_expression
 from .infoprovider import ComputingServiceRecord
@@ -61,14 +61,14 @@ class UnknownRte(JobSubmitError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class RteManifest:
+class RteManifest(Record):
     """A named set of raw batch options to append at submission time."""
 
-    name: str
-    node_properties: tuple[str, ...] = ()
+    __slots__ = __match_args__ = ("name", "node_properties")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, node_properties: tuple[str, ...] = ()):
+        set_field(self, "name", name)
+        set_field(self, "node_properties", node_properties)
         if not _RTE_NAME_RE.fullmatch(self.name):
             raise ValueError(f"bad RTE name: {self.name!r}")
         for prop in self.node_properties:
@@ -76,26 +76,26 @@ class RteManifest:
                 raise ValueError(f"node property must be a non-empty single line: {prop!r}")
 
 
-@dataclass(frozen=True)
-class JobOptions:
+class JobOptions(Record):
     """A job description plus the node properties accumulated from its RTEs."""
 
-    base: JobDescription
-    node_properties: tuple[str, ...] = ()
+    __slots__ = __match_args__ = ("base", "node_properties")
 
-    def __post_init__(self) -> None:
+    def __init__(self, base: JobDescription, node_properties: tuple[str, ...] = ()):
+        set_field(self, "base", base)
+        set_field(self, "node_properties", node_properties)
         if any(not prop for prop in self.node_properties):
             raise ValueError("node_properties must not contain empty entries")
 
 
-@dataclass(frozen=True)
-class SubmitScript:
+class SubmitScript(Record):
     """Ordered ``#SBATCH`` directives plus the execution stanza."""
 
-    directives: tuple[str, ...]
-    payload: str
+    __slots__ = __match_args__ = ("directives", "payload")
 
-    def __post_init__(self) -> None:
+    def __init__(self, directives: tuple[str, ...], payload: str):
+        set_field(self, "directives", directives)
+        set_field(self, "payload", payload)
         for directive in self.directives:
             if not directive.startswith("#SBATCH "):
                 raise ValueError(f"directive must start with '#SBATCH ': {directive!r}")

@@ -13,10 +13,10 @@ to a real ``sinfo`` for deployment parity.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+from ._record import Record, set_field
 from ._text import ascii_int, content_lines
 from .gres import GresParseError, parse_gres_expression, surely_parses
 
@@ -58,22 +58,24 @@ class InvalidFixture(LrmsError):
     """A cluster fixture violates its invariants or cannot be read."""
 
 
-@dataclass(frozen=True)
-class NodeClass:
+class NodeClass(Record):
     """One class of identical nodes: partition, node count and GRES line."""
 
-    partition: str
-    node_count: int
-    gres_line: str
+    __slots__ = __match_args__ = ("partition", "node_count", "gres_line")
+
+    def __init__(self, partition: str, node_count: int, gres_line: str):
+        set_field(self, "partition", partition)
+        set_field(self, "node_count", node_count)
+        set_field(self, "gres_line", gres_line)
 
 
-@dataclass(frozen=True)
-class ClusterFixture:
-    cluster_name: str
-    node_classes: tuple[NodeClass, ...]
+class ClusterFixture(Record):
+    # No __slots__: the instance __dict__ holds the cached ``_gres``.
+    __match_args__ = ("cluster_name", "node_classes")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "node_classes", tuple(self.node_classes))
+    def __init__(self, cluster_name: str, node_classes: tuple[NodeClass, ...]):
+        set_field(self, "cluster_name", cluster_name)
+        set_field(self, "node_classes", tuple(node_classes))
 
     def validate(self) -> None:
         """Raise :class:`InvalidFixture` unless the fixture is usable.
@@ -112,8 +114,7 @@ class ClusterFixture:
         return tuple(c.gres_line for c in self.node_classes if NULL_TOKEN not in c.gres_line)
 
 
-@dataclass(frozen=True)
-class ClusterSnapshot:
+class ClusterSnapshot(Record):
     """Collected LRMS information: the raw GRES expressions of a cluster.
 
     ``gres`` holds one string per node class, in fixture order, with
@@ -121,11 +122,12 @@ class ClusterSnapshot:
     with seconds precision.
     """
 
-    cluster_name: str
-    gres: tuple[str, ...]
-    collected_at: int
+    __slots__ = __match_args__ = ("cluster_name", "gres", "collected_at")
 
-    def __post_init__(self) -> None:
+    def __init__(self, cluster_name: str, gres: tuple[str, ...], collected_at: int):
+        set_field(self, "cluster_name", cluster_name)
+        set_field(self, "gres", gres)
+        set_field(self, "collected_at", collected_at)
         if "" in self.gres or NULL_TOKEN in self.gres:
             value = next(value for value in self.gres if value in ("", NULL_TOKEN))
             raise ValueError(f"snapshot must not contain {value!r}")

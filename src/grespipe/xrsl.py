@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 
+from ._record import Record, set_field
 from ._text import ascii_int
 
 __all__ = [
@@ -54,17 +54,21 @@ class UnknownAttributeWarning(UserWarning):
     """An attribute outside the supported subset was skipped."""
 
 
-@dataclass(frozen=True)
-class JobDescription:
-    executable: str
-    arguments: tuple[str, ...] = ()
-    job_name: str | None = None
-    count: int = 1
-    runtime_environments: tuple[str, ...] = ()
-    stdout_name: str | None = None
-    stderr_name: str | None = None
+class JobDescription(Record):
+    __slots__ = __match_args__ = ("executable", "arguments", "job_name", "count", "runtime_environments",
+                                  "stdout_name", "stderr_name")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, executable: str, arguments: tuple[str, ...] = (), job_name: str | None = None, count: int = 1,
+        runtime_environments: tuple[str, ...] = (), stdout_name: str | None = None, stderr_name: str | None = None,
+    ):
+        set_field(self, "executable", executable)
+        set_field(self, "arguments", arguments)
+        set_field(self, "job_name", job_name)
+        set_field(self, "count", count)
+        set_field(self, "runtime_environments", runtime_environments)
+        set_field(self, "stdout_name", stdout_name)
+        set_field(self, "stderr_name", stderr_name)
         if not self.executable:
             raise ValueError("executable must be non-empty")
         if self.count < 1:

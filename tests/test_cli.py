@@ -1,6 +1,7 @@
 """Tests for the command-line drivers and their exit-code contract."""
 
 import dataclasses
+import errno
 import os
 import pyexpat
 import resource
@@ -121,6 +122,19 @@ class TestInfoprovider:
             assert rc == EXIT_ENV
         finally:
             blocker.close()
+
+    def test_bind_failure_names_the_address_once(self):
+        with socket.socket() as blocker:
+            blocker.bind(("127.0.0.1", 0))
+            blocker.listen(1)
+            port = str(blocker.getsockname()[1])
+            address = f"127.0.0.1:{port}"
+            proc = _run_child(["infoprovider", "--serve", "--bind", address])
+        assert proc.returncode == EXIT_ENV
+        assert proc.stdout == ""
+        assert proc.stderr.count(address) == 1 and proc.stderr.count(port) == 1, proc.stderr
+        reason = f"[Errno {errno.EADDRINUSE}] {os.strerror(errno.EADDRINUSE)}"
+        assert proc.stderr == f"grespipe: error: cannot bind {address}: {reason}\n"
 
     @pytest.mark.parametrize(
         "flags",
@@ -666,6 +680,8 @@ _ON_DEMAND_MODULES = (
     "xml.sax.saxutils",
     "subprocess",
 )
+# What ``dataclasses`` loads: only the command that reads a site config, SiteConfig being the one dataclass.
+_DATACLASS_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 _PIPELINE_MODULES = tuple(
     f"grespipe.{name}" for name in ("gres", "lrms", "infoprovider", "client", "xrsl", "jobsubmit")
 )
@@ -732,6 +748,9 @@ def test_commands_load_only_the_stdlib_they_use(argv, bare_modules, tmp_path):
     assert sorted(new.intersection(_ON_DEMAND_MODULES)) == []
     if "xml.etree.ElementTree" not in bare_modules:
         assert ("xml.etree.ElementTree" in new) == (argv[:1] == ["arcinfo"])
+    if argv[:1] != ["infoprovider"]:
+        unwanted = _DATACLASS_MODULES + (("typing",) if "typing" not in bare_modules else ())
+        assert sorted(new.intersection(unwanted)) == []
     # The benchmark's tracer finds each pipeline module in sys.modules.
     assert loaded.issuperset(_PIPELINE_MODULES)
 
