@@ -49,9 +49,8 @@ class InfoServer(contextlib.AbstractContextManager):
             reason = f"[Errno {exc.errno}] {os.strerror(exc.errno)}" if exc.errno and exc.errno > 0 else exc
             raise infoprovider.BindFailure(f"cannot bind {config.bind}: {reason}") from exc
         self.server_address = self.socket.getsockname()
-        self._stop = threading.Event()
         self.socket.setblocking(False)  # every worker wakes for a connection; the losers' accept() fails
-        self._wake, self._waker = socket.socketpair()  # stop() closes _waker, so _wake reads as ended for all
+        self._wake, self._waker = socket.socketpair()  # stop() closes _waker, so _wake reads as ended for every thread
         runs = [self._refresh_loop] + [self._serve_loop] * WORKERS
         self._threads = [threading.Thread(target=run, daemon=True) for run in runs]
         for thread in self._threads:
@@ -111,7 +110,7 @@ class InfoServer(contextlib.AbstractContextManager):
         self._gres = snapshot.gres
 
     def _refresh_loop(self) -> None:
-        while not self._stop.wait(self._config.refresh_interval_seconds):
+        while not select.select([self._wake], [], [], self._config.refresh_interval_seconds)[0]:
             try:
                 self._refresh()
             except Exception as exc:
@@ -127,7 +126,6 @@ class InfoServer(contextlib.AbstractContextManager):
         return f"http://{host}:{port}"
 
     def stop(self) -> None:
-        self._stop.set()
         self._waker.close()
         for thread in self._threads:
             thread.join()

@@ -29,7 +29,7 @@ class SiteConfig:
         missing = [key for key in _REQUIRED_KEYS if not getattr(self, key)]
         if missing:
             raise BadConfig(f"missing required config keys: {', '.join(missing)}")
-        # nan would make the refresher spin; above TIMEOUT_MAX Event.wait raises.
+        # nan would make the refresher spin; above TIMEOUT_MAX its select raises.
         if not 0 < self.refresh_interval_seconds <= threading.TIMEOUT_MAX:
             raise BadConfig(f"refresh_interval_seconds must be in (0, {threading.TIMEOUT_MAX:g}]")
         split_bind(self.bind)

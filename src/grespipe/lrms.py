@@ -77,18 +77,10 @@ class ClusterFixture(Record):
         set_field(self, "cluster_name", cluster_name)
         set_field(self, "node_classes", tuple(node_classes))
 
-    def validate(self) -> None:
-        """Raise :class:`InvalidFixture` unless the fixture is usable.
-
-        The fixture is immutable, so a check that passed holds for good and
-        is not repeated; a failed check caches nothing and raises again.
-        """
-        self._gres
-
     @cached_property
     def _gres(self) -> tuple[str, ...]:
-        # Every check, then the fixture's own lines that ``read_gres_info`` keeps;
-        # the fixture is immutable, so both are done once per fixture.
+        # Every check, then the fixture's own lines that ``read_gres_info`` keeps; the fixture is
+        # immutable, so both are done once per fixture, and a failed check caches nothing.
         if not self.node_classes:
             raise InvalidFixture("fixture has no node classes")
         for node_class in self.node_classes:
@@ -152,7 +144,7 @@ def load_fixture(path: str | Path, cluster_name: str | None = None) -> ClusterFi
             raise InvalidFixture(f"{path}:{lineno}: bad node count {count_text!r}")
         node_classes.append(NodeClass(partition, count, gres_line))
     fixture = ClusterFixture(cluster_name or path.stem, tuple(node_classes))
-    fixture.validate()
+    fixture._gres  # raises InvalidFixture unless the fixture is usable
     return fixture
 
 

@@ -32,6 +32,8 @@ __all__ = [
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _BARE_WORD_RE = re.compile(r'[^ \t\r\n()"=]+')
 _GAP_RE = re.compile(r"\s*")
+# The single-valued attributes that are plain text, lower-cased, and the JobDescription field each sets.
+_SINGLE_VALUED = {"executable": "executable", "jobname": "job_name", "stdout": "stdout_name", "stderr": "stderr_name"}
 
 
 class XrslError(Exception):
@@ -140,25 +142,16 @@ def parse_xrsl(text: str) -> JobDescription:
     Raises :class:`XrslSyntaxError` (with position) for malformed input and
     :class:`MissingExecutable` when no executable attribute is supplied.
     """
-    fields: dict = {
-        "executable": None,
-        "arguments": [],
-        "job_name": None,
-        "count": 1,
-        "runtime_environments": [],
-        "stdout_name": None,
-        "stderr_name": None,
-    }
+    fields: dict = {}  # only what the description gives; JobDescription holds the defaults
+    arguments, runtime_environments = [], []
     for name, values, position in _read_clauses(text):
         key = name.lower()
-        if key == "executable":
-            fields["executable"] = _single(name, values, position)
+        if key in _SINGLE_VALUED:
+            fields[_SINGLE_VALUED[key]] = _single(name, values, position)
         elif key == "arguments":
             if not values:
                 raise XrslSyntaxError("attribute 'arguments' takes values", position)
-            fields["arguments"].extend(values)
-        elif key == "jobname":
-            fields["job_name"] = _single(name, values, position)
+            arguments += values
         elif key == "count":
             value = _single(name, values, position)
             count = ascii_int(value)
@@ -166,15 +159,9 @@ def parse_xrsl(text: str) -> JobDescription:
                 raise XrslSyntaxError(f"count must be a positive integer, got {value!r}", position)
             fields["count"] = count
         elif key == "runtimeenvironment":
-            fields["runtime_environments"].append(_single(name, values, position))
-        elif key == "stdout":
-            fields["stdout_name"] = _single(name, values, position)
-        elif key == "stderr":
-            fields["stderr_name"] = _single(name, values, position)
+            runtime_environments.append(_single(name, values, position))
         else:
             warnings.warn(f"ignoring unknown attribute {name!r}", UnknownAttributeWarning, stacklevel=2)
-    if not fields["executable"]:
+    if not fields.get("executable"):
         raise MissingExecutable("job description supplies no executable")
-    fields["arguments"] = tuple(fields["arguments"])
-    fields["runtime_environments"] = tuple(fields["runtime_environments"])
-    return JobDescription(**fields)
+    return JobDescription(arguments=tuple(arguments), runtime_environments=tuple(runtime_environments), **fields)

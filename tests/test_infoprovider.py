@@ -69,7 +69,7 @@ class TestSiteConfig:
     def test_bad_refresh_interval(self):
         base = {"admin_domain": "x", "service_id": "y", "manager_name": "z"}
         # nan would make the refresher spin; inf and values above
-        # threading.TIMEOUT_MAX make Event.wait raise in the refresher.
+        # threading.TIMEOUT_MAX make select raise in the refresher.
         for value in ["soon", "0", "nan", "inf", "1e12"]:
             with pytest.raises(BadConfig):
                 SiteConfig.from_mapping({**base, "refresh_interval_seconds": value})
