@@ -15,7 +15,7 @@ from http import HTTPStatus
 from io import BufferedIOBase
 
 from . import infoprovider
-from ._wire import MAX_LINE_BYTES, DeadlineSocket, header_lines
+from ._wire import MAX_LINE_BYTES, DeadlineSocket, header_lines, http_major
 from .lrms import ClusterSnapshot
 
 # Connections served at once, more wait in the listen backlog: the 3 exchanges that
@@ -61,7 +61,7 @@ class InfoServer(contextlib.AbstractContextManager):
             try:
                 conn = self.socket.accept()[0]
                 deadline = time.monotonic() + infoprovider.HANDLER_TIMEOUT_SECONDS  # read at accept, not at import
-                with DeadlineSocket.adopt(conn, deadline) as sock:
+                with DeadlineSocket(deadline, fileno=conn.detach()) as sock:
                     self._exchange(sock)
                     sock.shutdown(socket.SHUT_WR)
             except OSError:  # quiet on an accept() lost or failed, and on a reset, a hang-up or the deadline
@@ -72,6 +72,8 @@ class InfoServer(contextlib.AbstractContextManager):
     def _exchange(self, sock: DeadlineSocket) -> None:
         with sock.makefile("rb") as stream:
             request_line = stream.readline(MAX_LINE_BYTES + 1)
+            if request_line in (b"\r\n", b"\n"):  # one empty line before the request is skipped (RFC 9112 section 2.2)
+                request_line = stream.readline(MAX_LINE_BYTES + 1)
             if not request_line:  # the client closed without a request: no answer
                 return
             status, content_type, body = self._answer(request_line, stream)
@@ -85,8 +87,9 @@ class InfoServer(contextlib.AbstractContextManager):
         if len(request_line) > MAX_LINE_BYTES:
             return _error(HTTPStatus.REQUEST_URI_TOO_LONG)
         words = request_line.split()
-        if len(words) != 3 or words[2] not in (b"HTTP/1.0", b"HTTP/1.1"):
-            return _error(HTTPStatus.BAD_REQUEST)
+        major = http_major(words[2]) if len(words) == 3 else None
+        if major != 1:  # any HTTP/1.x is served (RFC 9110 section 2.5), another major version refused
+            return _error(HTTPStatus.BAD_REQUEST if major is None else HTTPStatus.HTTP_VERSION_NOT_SUPPORTED)
         if header_lines(stream) is None:  # a line too long, or too many
             return _error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE)
         if words[0] != b"GET":

@@ -1,5 +1,5 @@
-"""The reader of HTTP/1.0 header lines and the socket whose exchange ends by one deadline, shared by the info
-endpoint (``_httpd``) and :func:`grespipe.client.fetch_info`, which import this module only when they run."""
+"""The HTTP version rule, the reader of header lines and the socket whose exchange ends by one deadline, shared by
+the info endpoint (``_httpd``) and :func:`grespipe.client.fetch_info`, which import this module only when they run."""
 
 from __future__ import annotations
 
@@ -9,6 +9,14 @@ from io import BufferedIOBase
 
 MAX_LINE_BYTES = 65536  # http.server's and http.client's limit on the bytes in any line of a head
 MAX_HEADERS = 100  # their limit on the lines after the first line of a head, the blank one included
+
+
+def http_major(version: bytes) -> int | None:
+    """Return the major version of an ``HTTP/`` DIGIT ``.`` DIGIT word (RFC 9112 section 2.3), else ``None``."""
+    major, dot, minor = version[5:6], version[6:7], version[7:]
+    if len(version) == 8 and version[:5] == b"HTTP/" and dot == b"." and (major + minor).isdigit():
+        return int(major)
+    return None
 
 
 def header_lines(stream: BufferedIOBase) -> list[bytes] | None:
@@ -23,16 +31,25 @@ def header_lines(stream: BufferedIOBase) -> list[bytes] | None:
 
 
 class DeadlineSocket(socket.socket):
-    """A connected socket whose reads and writes end by one ``deadline``, so a drip cannot hold either end."""
+    """A socket whose connect, reads and writes end by one ``deadline``, so a drip cannot hold either end."""
 
-    deadline: float  # on the time.monotonic() clock
+    def __init__(self, deadline: float, *args, **kwargs):  # then socket.socket's arguments, fileno= included
+        super().__init__(*args, **kwargs)
+        self.deadline = deadline  # on the time.monotonic() clock
 
     @classmethod
-    def adopt(cls, sock: socket.socket, deadline: float) -> DeadlineSocket:
-        """Take over ``sock``'s connection, which ``sock`` no longer holds."""
-        adopted = cls(fileno=sock.detach())
-        adopted.deadline = deadline
-        return adopted
+    def connect_to(cls, host: str, port: int, deadline: float) -> DeadlineSocket:
+        """Connect to the first of ``host``'s addresses that accepts, each tried with only the time left."""
+        error = OSError(f"no address for {host!r}")
+        for family, kind, proto, _name, address in socket.getaddrinfo(host, port, type=socket.SOCK_STREAM):
+            sock = cls(deadline, family, kind, proto)
+            try:
+                sock.connect(address)
+                return sock
+            except OSError as exc:  # past the deadline, every address left fails at once
+                sock.close()
+                error = exc
+        raise error
 
     def _by_deadline(self, call, *args):
         left = self.deadline - time.monotonic()
@@ -40,6 +57,9 @@ class DeadlineSocket(socket.socket):
             raise TimeoutError("exchange deadline passed")
         self.settimeout(left)  # sendall's timeout, too, bounds the whole call
         return call(*args)
+
+    def connect(self, *args) -> None:
+        return self._by_deadline(super().connect, *args)
 
     def recv_into(self, *args) -> int:
         return self._by_deadline(super().recv_into, *args)

@@ -159,7 +159,7 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
     ``Content-Type``, ``Content-Length`` and ``Transfer-Encoding`` are read.
     Redirects are not followed and proxy variables are not read.  Raises
     :class:`Unreachable` on connection failure, at the deadline, or on an
-    answer that is not HTTP/1.0 or HTTP/1.1 within those limits, has a bad or
+    answer that is not HTTP/1.x within those limits, has a bad or
     conflicting ``Content-Length`` or any ``Transfer-Encoding``; :class:`BadStatus`
     on any non-200 answer, :class:`BadContentType` when the response is not XML,
     :class:`DocumentTooLarge` when the body exceeds
@@ -167,7 +167,6 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
     body ends before its ``Content-Length``.  A URL that is not ``http://`` or
     that carries user information (``user@host``) raises :class:`ValueError`.
     """
-    import socket
     import time
     from urllib.parse import urlsplit
 
@@ -189,8 +188,7 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
         raise Unreachable(f"cannot fetch {url}: {exc}") from exc
     request = f"GET {target} HTTP/1.0\r\nHost: {parts.netloc}\r\nAccept: application/xml\r\n\r\n"
     try:
-        connection = socket.create_connection((parts.hostname or "", 80 if port is None else port), timeout)
-        with DeadlineSocket.adopt(connection, deadline) as sock:
+        with DeadlineSocket.connect_to(parts.hostname or "", 80 if port is None else port, deadline) as sock:
             sock.sendall(request.encode("ascii"))
             with sock.makefile("rb") as stream:
                 status, content_type, length = _read_head(stream, url)
@@ -200,7 +198,7 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
                 if mime not in _XML_MIME_TYPES and not mime.endswith("+xml"):
                     raise BadContentType(f"expected XML, got {content_type!r}")
                 body = read_bounded(stream, url, DocumentTooLarge, length)
-    except TimeoutError as exc:  # the deadline, or a connect that outlived it
+    except TimeoutError as exc:  # the deadline passed, in a connect or later
         raise Unreachable(f"cannot reach {url}: no complete answer within {timeout:g} s") from exc
     except OSError as exc:
         raise Unreachable(f"cannot reach {url}: {exc}") from exc
@@ -212,11 +210,11 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
 def _read_head(stream: BufferedIOBase, url: str) -> tuple[int, str, int | None]:
     """Read a response head within the endpoint's limits; return its status, ``Content-Type``
     (``""`` if none) and ``Content-Length`` (``None`` if none, so the body ends with the stream)."""
-    from ._wire import MAX_HEADERS, MAX_LINE_BYTES, header_lines
+    from ._wire import MAX_HEADERS, MAX_LINE_BYTES, header_lines, http_major
 
     line = stream.readline(MAX_LINE_BYTES + 1)
     version, status = (line.split(None, 2) + [b"", b""])[:2]
-    if len(line) > MAX_LINE_BYTES or version not in (b"HTTP/1.0", b"HTTP/1.1") or not (
+    if len(line) > MAX_LINE_BYTES or http_major(version) != 1 or not (
         len(status) == 3 and status.isdigit()
     ):
         raise Unreachable(f"cannot fetch {url}: not an HTTP/1.0 or HTTP/1.1 status line: {line[:80]!r}")

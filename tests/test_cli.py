@@ -704,7 +704,7 @@ print("\\n".join(sys.modules))
 
 def _loaded_modules(argv: list[str]) -> tuple[int, set[str]]:
     proc = subprocess.run(
-        [sys.executable, "-c", _LIST_MODULES, *argv],
+        [sys.executable, "-S", "-c", _LIST_MODULES, *argv],
         capture_output=True,
         text=True,
         env=child_env(),
@@ -717,9 +717,10 @@ def _loaded_modules(argv: list[str]) -> tuple[int, set[str]]:
 
 @pytest.fixture(scope="module")
 def bare_modules() -> set[str]:
-    """What the interpreter loads in this environment before grespipe does."""
+    """What the interpreter loads before grespipe does, under ``-S`` as every child compared with it runs: no
+    site-packages ``.pth`` file then preloads a module that a command must not load itself."""
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys; print('\\n'.join(sys.modules))"],
+        [sys.executable, "-S", "-c", "import sys; print('\\n'.join(sys.modules))"],
         capture_output=True,
         text=True,
         env=child_env(),
@@ -746,11 +747,9 @@ def test_commands_load_only_the_stdlib_they_use(argv, bare_modules, tmp_path):
     assert code == EXIT_OK
     new = loaded - bare_modules
     assert sorted(new.intersection(_ON_DEMAND_MODULES)) == []
-    if "xml.etree.ElementTree" not in bare_modules:
-        assert ("xml.etree.ElementTree" in new) == (argv[:1] == ["arcinfo"])
+    assert ("xml.etree.ElementTree" in new) == (argv[:1] == ["arcinfo"])
     if argv[:1] != ["infoprovider"]:
-        unwanted = _DATACLASS_MODULES + (("typing",) if "typing" not in bare_modules else ())
-        assert sorted(new.intersection(unwanted)) == []
+        assert sorted(new.intersection(_DATACLASS_MODULES + ("typing",))) == []
     # The benchmark's tracer finds each pipeline module in sys.modules.
     assert loaded.issuperset(_PIPELINE_MODULES)
 
@@ -776,7 +775,7 @@ print("\\n".join(sys.modules))
 
 def test_serving_loads_no_http_email_or_ssl_stack(bare_modules, tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-c", _SERVE_AND_LIST_MODULES, str(tmp_path / "answer")],
+        [sys.executable, "-S", "-c", _SERVE_AND_LIST_MODULES, str(tmp_path / "answer")],
         capture_output=True,
         text=True,
         env=child_env(),

@@ -1,5 +1,6 @@
 """Tests for info-document parsing, report formatting and fetching."""
 
+import contextlib
 import dataclasses
 import gc
 import socket
@@ -418,6 +419,10 @@ def _row(name: str, reply: bytes, expected: type[FetchError] | str, drip: bytes 
 _XML_HEAD = b"HTTP/1.0 200 OK\r\nContent-Type: application/xml\r\n"
 _RESPONSE_EDGE_CASES = [
     _row("not-http", b"hello\r\n\r\n", Unreachable),
+    # HTTP/ DIGIT . DIGIT (RFC 9112 section 2.3), of major version 1.
+    _row("http-1.2", b"HTTP/1.2 200 OK\r\nContent-Type: text/xml\r\n\r\n<InfoRoot/>", "<InfoRoot/>"),
+    _row("http-2.0", b"HTTP/2.0 200 OK\r\nContent-Type: text/xml\r\n\r\n<InfoRoot/>", Unreachable),
+    _row("http-1.10", b"HTTP/1.10 200 OK\r\nContent-Type: text/xml\r\n\r\n<InfoRoot/>", Unreachable),
     _row("http-1.1", b"HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\nContent-Length: 11\r\n\r\n<InfoRoot/>", "<InfoRoot/>"),
     _row("bare-lf", b"HTTP/1.0 200 OK\nContent-Type: application/xml\nContent-Length: 11\n\n<InfoRoot/>", "<InfoRoot/>"),
     # A line of exactly 65,536 bytes with its CRLF is within the limit.
@@ -573,6 +578,36 @@ class TestFetchInfo:
             with pytest.raises(FetchError, match="no complete answer within 1 s"):
                 fetch_info(f"http://127.0.0.1:{listener.getsockname()[1]}/info", timeout=1.0)
             assert time.monotonic() - start < 1.5
+
+    def test_connect_deadline_covers_every_address(self, monkeypatch):
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(0)
+            address = listener.getsockname()
+            with contextlib.ExitStack() as held:
+                for _ in range(16):  # fill the backlog, so a connect hangs
+                    filler = held.enter_context(socket.socket())
+                    filler.settimeout(0.2)
+                    try:
+                        filler.connect(address)
+                    except TimeoutError:
+                        break
+                else:
+                    pytest.fail("a listen(0) backlog took 16 connects")
+                hanging = socket.getaddrinfo(*address, type=socket.SOCK_STREAM)[0]
+                monkeypatch.setattr(socket, "getaddrinfo", lambda *args, **kwargs: [hanging] * 3)
+                start = time.monotonic()
+                with pytest.raises(Unreachable, match="no complete answer within 0.5 s"):
+                    fetch_info(f"http://127.0.0.1:{address[1]}/info", timeout=0.5)
+                assert time.monotonic() - start < 0.5 + 0.3
+
+    @pytest.mark.parametrize("target", ["/in fo", "/in\x7ffo", "/inf\u00f6"], ids=["space", "control", "non-ascii"])
+    def test_url_unfit_for_the_request_head_is_refused(self, target):
+        url = f"http://127.0.0.1:1{target}"
+        message = f"cannot fetch {url}: the URL holds a space, a control or a non-ASCII character"
+        with pytest.raises(Unreachable) as excinfo:
+            fetch_info(url)
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("reply, drip, host, expected", _RESPONSE_EDGE_CASES)
     def test_response_edge_cases(self, reply, drip, host, expected):

@@ -475,12 +475,21 @@ class TestServeInfo:
             (b"GET /info\r\n", b"400"),
             (b"hello\r\n", b"400"),
             (b"GET /info HTTP/1.x\r\n\r\n", b"400"),
-            (b"GET /info HTTP/2.0\r\n\r\n", b"400"),
+            # HTTP/ DIGIT . DIGIT (RFC 9112 section 2.3): any 1.x is served, another major version gets 505.
+            (b"GET /info HTTP/2.0\r\n\r\n", b"505"),
+            (b"GET /info HTTP/1.2\r\n\r\n", b"200"),
+            (b"GET /info HTTP/3.0\r\n\r\n", b"505"),
+            (b"GET /info HTTP/01.0\r\n\r\n", b"400"),
+            (b"GET /info HTTP/1.10\r\n\r\n", b"400"),
+            # One empty line before the request line is skipped (RFC 9112 section 2.2).
+            (b"\r\nGET /info HTTP/1.0\r\n\r\n", b"200"),
+            (b"GET //info HTTP/1.0\r\n\r\n", b"200"),
         ],
         ids=[
             "http-1.0", "http-1.1", "query", "bare-lf", "unknown-path", "absolute-form", "head", "post",
             "long-request-line", "request-line-65536", "header-65536", "long-header", "99-headers", "100-headers",
-            "101-headers", "http-0.9", "hello", "http-1.x", "http-2.0",
+            "101-headers", "http-0.9", "hello", "http-1.x", "http-2.0", "http-1.2", "http-3.0", "http-01.0",
+            "http-1.10", "leading-crlf", "double-slash",
         ],
     )
     def test_request_edge_cases(self, request_bytes, status, kebnekaise_fixture, site_config, monkeypatch):

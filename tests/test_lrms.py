@@ -198,6 +198,17 @@ class TestLoadFixture:
         with pytest.raises(InvalidFixture):
             load_fixture(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("|1|gpu:1", "node class with empty partition name"), ("a|1|", "partition 'a': empty gres line")],
+        ids=["empty-partition", "empty-gres"],
+    )
+    def test_refused_line_names_its_fault(self, tmp_path, line, message):
+        path = tmp_path / "bad.fixture"
+        path.write_text(line + "\n")
+        with pytest.raises(InvalidFixture, match=f"^{re.escape(message)}$"):
+            load_fixture(path)
+
     def test_overlong_gres_count_names_its_partition(self, tmp_path, int_digits_limit):
         path = tmp_path / "bad.fixture"
         digits = int_digits_limit + 1

@@ -10,7 +10,13 @@ import threading
 import pytest
 
 from grespipe.gres import GresEntry, GresList, MalformedCount
-from grespipe.infoprovider import BadConfig, ComputingManagerRecord, ComputingServiceRecord, SiteConfig
+from grespipe.infoprovider import (
+    BadConfig,
+    ComputingManagerRecord,
+    ComputingServiceRecord,
+    SiteConfig,
+    render_glue2_xml,
+)
 from grespipe.jobsubmit import JobOptions, RteManifest, SubmitScript
 from grespipe.lrms import ClusterFixture, ClusterSnapshot, NodeClass
 from grespipe.xrsl import JobDescription
@@ -173,11 +179,14 @@ def test_record_copies_and_pickles(record):
         (lambda: SiteConfig("d", "s", "m", bind="nope", refresh_interval_seconds=float("nan")), BadConfig,
          f"refresh_interval_seconds must be in (0, {threading.TIMEOUT_MAX:g}]"),
         (lambda: SiteConfig("d", "s", "m", bind="nope"), BadConfig, "bind must be host:port, got 'nope'"),
+        (lambda: ComputingManagerRecord("").validate(), ValueError, "manager_name must be non-empty"),
+        (lambda: render_glue2_xml(ComputingServiceRecord("d", "s", ComputingManagerRecord(""))), ValueError,
+         "manager_name must be non-empty"),
     ],
     ids=[
         "entry-count", "entry-empty", "entry-grammar", "snapshot-null", "snapshot-empty", "rte-name",
         "rte-newline", "rte-empty", "options-empty", "script-prefix", "script-newline", "job-executable",
-        "job-count", "site-keys", "site-interval", "site-bind",
+        "job-count", "site-keys", "site-interval", "site-bind", "manager-name", "manager-name-render",
     ],
 )
 def test_construction_refusals(make, error, message):
