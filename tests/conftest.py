@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 import random
 import socket
 import string
+import subprocess
 import sys
 import threading
 import time
@@ -16,8 +18,8 @@ import pytest
 
 import grespipe
 from grespipe import data
-from grespipe.infoprovider import SiteConfig
-from grespipe.lrms import ClusterFixture, NodeClass, load_fixture
+from grespipe.infoprovider import SiteConfig, build_computing_service, render_glue2_xml, serve_info
+from grespipe.lrms import ClusterFixture, NodeClass, SlurmFixtureBackend, load_fixture
 
 # The six node-class GRES lines of the emulated cluster, in fixture order.
 SINFO_BARE_LINES = [
@@ -45,6 +47,13 @@ def child_env() -> dict[str, str]:
     src = str(Path(grespipe.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+def run_python(*args: str, **options) -> subprocess.CompletedProcess:
+    """Run ``python <args>`` on this suite's grespipe to completion, with text
+    output captured and a 60 s timeout unless ``options`` say otherwise."""
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, "timeout": 60, **options}
+    return subprocess.run([sys.executable, *args], env=child_env(), **options)
 
 
 @contextlib.contextmanager
@@ -93,6 +102,15 @@ def kebnekaise_fixture() -> ClusterFixture:
 @pytest.fixture
 def site_config() -> SiteConfig:
     return SiteConfig.from_file(data.SITE_CONF)
+
+
+@pytest.fixture
+def served(kebnekaise_fixture, site_config):
+    """The sample endpoint, serving the sample fixture on a free loopback port
+    until the test ends, and the document it serves."""
+    backend = SlurmFixtureBackend(kebnekaise_fixture)
+    with serve_info(backend, dataclasses.replace(site_config, bind="127.0.0.1:0")) as server:
+        yield server, render_glue2_xml(build_computing_service(backend.collect(), site_config))
 
 
 def random_token(rng: random.Random, alphabet: str = TOKEN_CHARS) -> str:

@@ -1,6 +1,5 @@
 """Tests for the command-line drivers and their exit-code contract."""
 
-import dataclasses
 import errno
 import os
 import pyexpat
@@ -16,25 +15,14 @@ import pytest
 
 from grespipe import _text, data
 from grespipe.cli import EXIT_ENV, EXIT_INPUT, EXIT_OK, EXIT_REFUSED, CliInputError, main
-from grespipe.infoprovider import SiteConfig, build_computing_service, render_glue2_xml, serve_info
-from grespipe.lrms import SlurmFixtureBackend, collect_cluster_info, load_fixture
+from grespipe.infoprovider import build_computing_service, render_glue2_xml
+from grespipe.lrms import collect_cluster_info, load_fixture
 from grespipe.xrsl import XrslSyntaxError, parse_xrsl
 
-from conftest import PREFIXED_LINES, RESOURCE_LINES, SINFO_BARE_LINES, answer_once, child_env
+from conftest import PREFIXED_LINES, RESOURCE_LINES, SINFO_BARE_LINES, answer_once, child_env, run_python
 
 # Byte-exact outputs of the shipped samples, shared with the benchmark.
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
-
-
-def _run_child(argv: list[str]) -> subprocess.CompletedProcess:
-    """Run ``python -m grespipe <argv>`` to completion, capturing its output."""
-    return subprocess.run(
-        [sys.executable, "-m", "grespipe", *argv],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        timeout=60,
-    )
 
 
 class TestMockSinfo:
@@ -129,7 +117,7 @@ class TestInfoprovider:
             blocker.listen(1)
             port = str(blocker.getsockname()[1])
             address = f"127.0.0.1:{port}"
-            proc = _run_child(["infoprovider", "--serve", "--bind", address])
+            proc = run_python("-m", "grespipe", "infoprovider", "--serve", "--bind", address)
         assert proc.returncode == EXIT_ENV
         assert proc.stdout == ""
         assert proc.stderr.count(address) == 1 and proc.stderr.count(port) == 1, proc.stderr
@@ -142,7 +130,7 @@ class TestInfoprovider:
         ids=["bind-port", "refresh-inf"],
     )
     def test_bad_serve_setting_is_input_error_without_traceback(self, flags):
-        proc = _run_child(["infoprovider", "--serve", "--bind", "127.0.0.1:0", *flags])
+        proc = run_python("-m", "grespipe", "infoprovider", "--serve", "--bind", "127.0.0.1:0", *flags)
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("grespipe: error: ")
         assert proc.returncode == EXIT_INPUT
@@ -223,13 +211,8 @@ class TestArcinfo:
         path.write_text("\n".join(lines))
         assert path.stat().st_size < 1000
         limit = 1 << 30  # an expat that expands the entities fails here rather than take the machine's memory
-        proc = subprocess.run(
-            [sys.executable, "-m", "grespipe", "arcinfo", str(path)],
-            capture_output=True,
-            text=True,
-            env=child_env(),
-            timeout=60,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        proc = run_python(
+            "-m", "grespipe", "arcinfo", str(path), preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
         )
         # expat before 2.4.0 has no amplification limit.
         assert (proc.returncode, "amplification factor" in proc.stderr) == (EXIT_INPUT, True), (
@@ -257,31 +240,23 @@ class TestArcinfo:
         assert captured.out == ""
         assert captured.err == "grespipe: error: user information (user@host) in an info URL is not supported\n"
 
-    def test_oversized_document_is_input_error(
-        self, capsys, monkeypatch, kebnekaise_fixture, site_config, tmp_path
-    ):
+    def test_oversized_document_is_input_error(self, capsys, monkeypatch, served, tmp_path):
         monkeypatch.setattr(_text, "MAX_DOCUMENT_BYTES", 100)
         document = tmp_path / "info.xml"
         document.write_text("<InfoRoot/>".ljust(101))
-        config = dataclasses.replace(site_config, bind="127.0.0.1:0")
-        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), config) as server:
-            for target in (server.url + "/info", str(document), "/dev/zero"):
-                assert main(["arcinfo", target]) == EXIT_INPUT
-                captured = capsys.readouterr()
-                assert "exceeds 100 bytes" in captured.err
-                assert captured.out == ""
+        for target in (served[0].url + "/info", str(document), "/dev/zero"):
+            assert main(["arcinfo", target]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert "exceeds 100 bytes" in captured.err
+            assert captured.out == ""
         # A document of exactly the limit is read, and then refused for its content.
         document.write_text("<InfoRoot/>".ljust(100))
         assert main(["arcinfo", str(document)]) == EXIT_REFUSED
         assert "no ComputingService" in capsys.readouterr().err
 
-    def test_endpoint_setting_supplies_default_target(
-        self, capsys, monkeypatch, kebnekaise_fixture, site_config
-    ):
-        config = dataclasses.replace(site_config, bind="127.0.0.1:0")
-        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), config) as server:
-            monkeypatch.setenv("GRESPIPE_ENDPOINT", server.url.removeprefix("http://"))
-            assert main(["arcinfo"]) == EXIT_OK
+    def test_endpoint_setting_supplies_default_target(self, capsys, monkeypatch, served):
+        monkeypatch.setenv("GRESPIPE_ENDPOINT", served[0].url.removeprefix("http://"))
+        assert main(["arcinfo"]) == EXIT_OK
         assert "General resources:" in capsys.readouterr().out
 
 
@@ -330,12 +305,6 @@ class TestArcsub:
 
 
 class TestMatchmakingFlow:
-    @pytest.fixture
-    def served(self, kebnekaise_fixture, site_config):
-        config = dataclasses.replace(site_config, bind="127.0.0.1:0")
-        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), config) as server:
-            yield server.url + "/info"
-
     def test_match_refuses_oversized_request(self, served, tmp_path, capsys):
         rte_dir = tmp_path / "rtes"
         rte_dir.mkdir()
@@ -353,7 +322,7 @@ class TestMatchmakingFlow:
                 "--spool-dir",
                 str(tmp_path / "spool"),
                 "--match",
-                served,
+                served[0].url + "/info",
             ]
         )
         assert rc == EXIT_REFUSED
@@ -376,7 +345,7 @@ class TestMatchmakingFlow:
                 "--spool-dir",
                 str(tmp_path / "spool"),
                 "--match",
-                served,
+                served[0].url + "/info",
             ]
         )
         assert rc == EXIT_OK
@@ -394,7 +363,7 @@ class TestMatchmakingFlow:
         document = tmp_path / "info.xml"
         document.write_text("<InfoRoot/>".ljust(101))
         spool = tmp_path / "spool"
-        for target in (served, str(document), "/dev/zero"):
+        for target in (served[0].url + "/info", str(document), "/dev/zero"):
             argv = ["arcsub", str(data.HELLO_XRSL), "--spool-dir", str(spool), "--match", target]
             assert main(argv) == EXIT_INPUT
             assert "exceeds 100 bytes" in capsys.readouterr().err
@@ -418,7 +387,7 @@ class TestMatchmakingFlow:
                 "--spool-dir",
                 str(tmp_path / "spool"),
                 "--match",
-                served,
+                served[0].url + "/info",
             ]
         )
         assert rc == EXIT_REFUSED
@@ -437,49 +406,46 @@ class TestMatchmakingFlow:
                 "--spool-dir",
                 str(tmp_path / "spool"),
                 "--match",
-                served,
+                served[0].url + "/info",
             ]
         )
         assert rc == EXIT_OK
 
 
-def test_full_walkthrough(tmp_path, capsys, kebnekaise_fixture, site_config):
+def test_full_walkthrough(tmp_path, capsys, served):
     """Listing, serving, client report and submission against one another."""
     assert main(["mock-sinfo", "--bare"]) == EXIT_OK
     listing = capsys.readouterr().out.splitlines()
     assert listing == SINFO_BARE_LINES
 
-    config = dataclasses.replace(site_config, bind="127.0.0.1:0")
-    with serve_info(SlurmFixtureBackend(kebnekaise_fixture), config) as server:
-        url = server.url + "/info"
+    url = served[0].url + "/info"
+    assert main(["arcinfo", url]) == EXIT_OK
+    report = capsys.readouterr().out
+    header_at = report.index("General resources:")
+    for line in RESOURCE_LINES:
+        assert report.index(f"      {line}") > header_at
 
-        assert main(["arcinfo", url]) == EXIT_OK
-        report = capsys.readouterr().out
-        header_at = report.index("General resources:")
-        for line in RESOURCE_LINES:
-            assert report.index(f"      {line}") > header_at
-
-        rte_dir = tmp_path / "rtes"
-        rte_dir.mkdir()
-        (rte_dir / "VGPU.rte").write_text("name = VGPU\nnode_properties = --gres=gpu:v100:2\n")
-        xrsl = tmp_path / "job.xrsl"
-        xrsl.write_text('&(executable="train.sh")(runTimeEnvironment="VGPU")')
-        rc = main(
-            [
-                "arcsub",
-                str(xrsl),
-                "--rte-dir",
-                str(rte_dir),
-                "--spool-dir",
-                str(tmp_path / "spool"),
-                "--match",
-                url,
-            ]
-        )
-        assert rc == EXIT_OK
-        job_id, _ = capsys.readouterr().out.split()
-        script = (tmp_path / "spool" / f"{job_id}.sbatch").read_text()
-        assert "#SBATCH --gres=gpu:v100:2" in script
+    rte_dir = tmp_path / "rtes"
+    rte_dir.mkdir()
+    (rte_dir / "VGPU.rte").write_text("name = VGPU\nnode_properties = --gres=gpu:v100:2\n")
+    xrsl = tmp_path / "job.xrsl"
+    xrsl.write_text('&(executable="train.sh")(runTimeEnvironment="VGPU")')
+    rc = main(
+        [
+            "arcsub",
+            str(xrsl),
+            "--rte-dir",
+            str(rte_dir),
+            "--spool-dir",
+            str(tmp_path / "spool"),
+            "--match",
+            url,
+        ]
+    )
+    assert rc == EXIT_OK
+    job_id, _ = capsys.readouterr().out.split()
+    script = (tmp_path / "spool" / f"{job_id}.sbatch").read_text()
+    assert "#SBATCH --gres=gpu:v100:2" in script
 
 
 @pytest.mark.parametrize(
@@ -515,14 +481,7 @@ def test_closed_stdout_is_env_error_without_traceback(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "grespipe", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=child_env(),
-            timeout=60,
-        )
+        proc = run_python("-m", "grespipe", *argv, stdout=write_end)
     finally:
         os.close(write_end)
     assert "Traceback" not in proc.stderr
@@ -545,7 +504,7 @@ def test_non_utf8_input_file_is_input_error_without_traceback(argv, tmp_path):
     bad = tmp_path / "bad.rte"
     bad.write_bytes(b"\xff\xfe")
     argv = [arg.format(bad=bad, dir=tmp_path, spool=tmp_path / "spool") for arg in argv]
-    proc = _run_child(argv)
+    proc = run_python("-m", "grespipe", *argv)
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("grespipe: error: ")
     assert proc.returncode == EXIT_INPUT
@@ -619,7 +578,7 @@ def test_cr_and_crlf_inputs_read_as_lf(newline, tmp_path):
 def test_missing_input_path_is_input_error(argv, tmp_path):
     missing = tmp_path / "missing"
     argv = [arg.format(missing=missing, spool=tmp_path / "spool") for arg in argv]
-    proc = _run_child(argv)
+    proc = run_python("-m", "grespipe", *argv)
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("grespipe: error: ")
     assert str(missing) in proc.stderr
@@ -703,14 +662,7 @@ print("\\n".join(sys.modules))
 
 
 def _loaded_modules(argv: list[str]) -> tuple[int, set[str]]:
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", _LIST_MODULES, *argv],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        check=True,
-        timeout=60,
-    )
+    proc = run_python("-S", "-c", _LIST_MODULES, *argv, check=True)
     code, *modules = proc.stdout.splitlines()
     return int(code), set(modules)
 
@@ -719,14 +671,7 @@ def _loaded_modules(argv: list[str]) -> tuple[int, set[str]]:
 def bare_modules() -> set[str]:
     """What the interpreter loads before grespipe does, under ``-S`` as every child compared with it runs: no
     site-packages ``.pth`` file then preloads a module that a command must not load itself."""
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", "import sys; print('\\n'.join(sys.modules))"],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        check=True,
-        timeout=60,
-    )
+    proc = run_python("-S", "-c", "import sys; print('\\n'.join(sys.modules))", check=True)
     return set(proc.stdout.splitlines())
 
 
@@ -774,14 +719,7 @@ print("\\n".join(sys.modules))
 
 
 def test_serving_loads_no_http_email_or_ssl_stack(bare_modules, tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", _SERVE_AND_LIST_MODULES, str(tmp_path / "answer")],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        check=True,
-        timeout=60,
-    )
+    proc = run_python("-S", "-c", _SERVE_AND_LIST_MODULES, str(tmp_path / "answer"), check=True)
     head, _, body = (tmp_path / "answer").read_bytes().partition(b"\r\n\r\n")
     assert head.startswith(b"HTTP/1.0 200 ")
     assert body == (GOLDEN / "infoprovider.out").read_bytes()
@@ -798,13 +736,9 @@ def test_serving_loads_no_http_email_or_ssl_stack(bare_modules, tmp_path):
     ],
     ids=["arcinfo", "match"],
 )
-def test_fetching_loads_no_http_email_or_ssl_stack(
-    argv, expected, bare_modules, kebnekaise_fixture, site_config, tmp_path
-):
-    config = dataclasses.replace(site_config, bind="127.0.0.1:0")
-    with serve_info(SlurmFixtureBackend(kebnekaise_fixture), config) as server:
-        argv = [arg.format(url=server.url + "/info", spool=tmp_path / "spool") for arg in argv]
-        code, loaded = _loaded_modules(argv)
+def test_fetching_loads_no_http_email_or_ssl_stack(argv, expected, bare_modules, served, tmp_path):
+    argv = [arg.format(url=served[0].url + "/info", spool=tmp_path / "spool") for arg in argv]
+    code, loaded = _loaded_modules(argv)
     assert code == expected
     new = loaded - bare_modules
     assert sorted(name for name in new if name.split(".")[0] in _HTTP_STACKS or name in _HTTP_STACKS) == []

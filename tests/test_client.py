@@ -1,11 +1,8 @@
 """Tests for info-document parsing, report formatting and fetching."""
 
 import contextlib
-import dataclasses
 import gc
 import socket
-import subprocess
-import sys
 import time
 import tracemalloc
 import warnings
@@ -28,16 +25,9 @@ from grespipe.client import (
     format_arcinfo,
     parse_execution_targets,
 )
-from grespipe.infoprovider import (
-    ComputingManagerRecord,
-    ComputingServiceRecord,
-    build_computing_service,
-    render_glue2_xml,
-    serve_info,
-)
-from grespipe.lrms import SlurmFixtureBackend
+from grespipe.infoprovider import ComputingManagerRecord, ComputingServiceRecord, render_glue2_xml
 
-from conftest import PRINTABLE_WIDE_CHARS, RESOURCE_LINES, answer_once, child_env
+from conftest import PRINTABLE_WIDE_CHARS, RESOURCE_LINES, answer_once, run_python
 
 # Wire-format sample with comment placeholders where a full publisher would
 # emit additional entities.
@@ -451,38 +441,28 @@ _RESPONSE_EDGE_CASES = [
 
 
 class TestFetchInfo:
-    def test_loopback_fetch_matches_served_document(self, kebnekaise_fixture, site_config):
-        backend = SlurmFixtureBackend(kebnekaise_fixture)
-        config = dataclasses.replace(site_config, bind="127.0.0.1:0")
-        with serve_info(backend, config) as server:
-            body = fetch_info(server.url + "/info")
-        expected = render_glue2_xml(build_computing_service(backend.collect(), site_config))
-        assert body == expected
+    def test_loopback_fetch_matches_served_document(self, served):
+        server, document = served
+        assert fetch_info(server.url + "/info") == document
 
-    def test_bad_status_on_404(self, kebnekaise_fixture, site_config):
-        config = dataclasses.replace(site_config, bind="127.0.0.1:0")
-        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), config) as server:
-            with pytest.raises(BadStatus) as excinfo:
-                fetch_info(server.url + "/nonexistent")
-            assert excinfo.value.status == 404
+    def test_bad_status_on_404(self, served):
+        with pytest.raises(BadStatus) as excinfo:
+            fetch_info(served[0].url + "/nonexistent")
+        assert excinfo.value.status == 404
 
-    def test_bad_content_type(self, kebnekaise_fixture, site_config):
-        config = dataclasses.replace(site_config, bind="127.0.0.1:0")
-        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), config) as server:
-            with pytest.raises(BadContentType):
-                fetch_info(server.url + "/healthz")
+    def test_bad_content_type(self, served):
+        with pytest.raises(BadContentType):
+            fetch_info(served[0].url + "/healthz")
 
-    def test_document_over_cap_rejected(self, kebnekaise_fixture, site_config, monkeypatch):
-        config = dataclasses.replace(site_config, bind="127.0.0.1:0")
-        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), config) as server:
-            url = server.url + "/info"
-            body = fetch_info(url)
-            size = len(body.encode("utf-8"))
-            monkeypatch.setattr(_text, "MAX_DOCUMENT_BYTES", size)
-            assert fetch_info(url) == body
-            monkeypatch.setattr(_text, "MAX_DOCUMENT_BYTES", size - 1)
-            with pytest.raises(DocumentTooLarge, match=f"exceeds {size - 1} bytes") as excinfo:
-                fetch_info(url)
+    def test_document_over_cap_rejected(self, served, monkeypatch):
+        url = served[0].url + "/info"
+        body = fetch_info(url)
+        size = len(body.encode("utf-8"))
+        monkeypatch.setattr(_text, "MAX_DOCUMENT_BYTES", size)
+        assert fetch_info(url) == body
+        monkeypatch.setattr(_text, "MAX_DOCUMENT_BYTES", size - 1)
+        with pytest.raises(DocumentTooLarge, match=f"exceeds {size - 1} bytes") as excinfo:
+            fetch_info(url)
         assert isinstance(excinfo.value, FetchError)
 
     def test_truncated_body_rejected(self):
@@ -520,28 +500,20 @@ class TestFetchInfo:
             assert excinfo.value.status == 302
             _assert_never_contacted(elsewhere)
 
-    def test_proxy_variables_are_not_read(self, kebnekaise_fixture, site_config, monkeypatch):
-        backend = SlurmFixtureBackend(kebnekaise_fixture)
-        config = dataclasses.replace(site_config, bind="127.0.0.1:0")
+    def test_proxy_variables_are_not_read(self, served, monkeypatch):
+        server, document = served
         with socket.create_server(("127.0.0.1", 0)) as proxy:
             for name in ("http_proxy", "HTTP_PROXY"):
                 monkeypatch.setenv(name, f"http://127.0.0.1:{proxy.getsockname()[1]}")
             for name in ("no_proxy", "NO_PROXY"):
                 monkeypatch.delenv(name, raising=False)
-            with serve_info(backend, config) as server:
-                # A fresh interpreter, so nothing this process read from the environment earlier is reused.
-                child = subprocess.run(
-                    [sys.executable, "-c", _PRINT_FETCHED, server.url + "/info"],
-                    capture_output=True,
-                    text=True,
-                    env=child_env(),
-                    timeout=30,
-                )
+            # A fresh interpreter, so nothing this process read from the environment earlier is reused.
+            child = run_python("-c", _PRINT_FETCHED, server.url + "/info", timeout=30)
             _assert_never_contacted(proxy)
         assert child.returncode == 0, child.stderr
-        assert child.stdout == render_glue2_xml(build_computing_service(backend.collect(), site_config))
+        assert child.stdout == document
 
-    def test_bad_status_leaves_no_unclosed_socket(self, kebnekaise_fixture, site_config):
+    def test_bad_status_leaves_no_unclosed_socket(self, served):
         def fetch_missing(url):
             with pytest.raises(BadStatus) as excinfo:
                 fetch_info(url)
@@ -549,12 +521,10 @@ class TestFetchInfo:
             # in no set order, so a socket left open behind it is finalized unclosed.
             assert excinfo.value.status == 404
 
-        config = dataclasses.replace(site_config, bind="127.0.0.1:0")
-        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), config) as server:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", ResourceWarning)
-                fetch_missing(server.url + "/nonexistent")
-                gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            fetch_missing(served[0].url + "/nonexistent")
+            gc.collect()
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     @pytest.mark.parametrize(

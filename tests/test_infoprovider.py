@@ -273,43 +273,35 @@ class TestServeInfo:
     def _config(self, site_config, **overrides):
         return dataclasses.replace(site_config, bind="127.0.0.1:0", **overrides)
 
-    def test_get_info_matches_render(self, kebnekaise_fixture, site_config):
-        backend = SlurmFixtureBackend(kebnekaise_fixture)
-        with serve_info(backend, self._config(site_config)) as server:
-            with urllib.request.urlopen(server.url + "/info", timeout=5) as response:
-                assert response.status == 200
-                assert response.headers.get("Content-Type") == "application/xml"
-                body = response.read()
-        expected = render_glue2_xml(build_computing_service(backend.collect(), site_config))
-        assert body.decode("utf-8") == expected
+    def test_get_info_matches_render(self, served):
+        server, document = served
+        with urllib.request.urlopen(server.url + "/info", timeout=5) as response:
+            assert response.status == 200
+            assert response.headers.get("Content-Type") == "application/xml"
+            assert response.read().decode("utf-8") == document
 
-    def test_healthz(self, kebnekaise_fixture, site_config):
-        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), self._config(site_config)) as server:
-            with urllib.request.urlopen(server.url + "/healthz", timeout=5) as response:
-                assert response.status == 200
-                assert response.read() == b"ok"
+    def test_healthz(self, served):
+        with urllib.request.urlopen(served[0].url + "/healthz", timeout=5) as response:
+            assert response.status == 200
+            assert response.read() == b"ok"
 
-    def test_unknown_path_is_404(self, kebnekaise_fixture, site_config):
-        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), self._config(site_config)) as server:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(server.url + "/nonexistent", timeout=5)
-            assert excinfo.value.code == 404
-            excinfo.value.close()
+    def test_unknown_path_is_404(self, served):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(served[0].url + "/nonexistent", timeout=5)
+        assert excinfo.value.code == 404
+        excinfo.value.close()
 
-    def test_idle_connection_is_closed(self, kebnekaise_fixture, site_config, monkeypatch):
+    def test_idle_connection_is_closed(self, served, monkeypatch):
         monkeypatch.setattr(infoprovider, "HANDLER_TIMEOUT_SECONDS", 0.5)
-        backend = SlurmFixtureBackend(kebnekaise_fixture)
-        with serve_info(backend, self._config(site_config)) as server:
-            host, port = server.url.removeprefix("http://").rsplit(":", 1)
-            with socket.create_connection((host, int(port)), timeout=5) as idle:
-                start = time.monotonic()
-                # End of stream: the server gave up on the silent client.
-                assert idle.recv(1) == b""
-                assert time.monotonic() - start < 4
-            with urllib.request.urlopen(server.url + "/info", timeout=5) as response:
-                body = response.read()
-        expected = render_glue2_xml(build_computing_service(backend.collect(), site_config))
-        assert body.decode("utf-8") == expected
+        server, document = served
+        host, port = server.url.removeprefix("http://").rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=5) as idle:
+            start = time.monotonic()
+            # End of stream: the server gave up on the silent client.
+            assert idle.recv(1) == b""
+            assert time.monotonic() - start < 4
+        with urllib.request.urlopen(server.url + "/info", timeout=5) as response:
+            assert response.read().decode("utf-8") == document
 
     def test_exit_stops_every_thread_and_frees_the_port(self, kebnekaise_fixture, site_config):
         before = set(threading.enumerate())
@@ -342,21 +334,20 @@ class TestServeInfo:
         expected = render_glue2_xml(build_computing_service(backend.collect(), site_config))
         assert body.decode("utf-8") == expected
 
-    def test_drip_client_is_cut_off_at_the_deadline(self, kebnekaise_fixture, site_config, monkeypatch):
+    def test_drip_client_is_cut_off_at_the_deadline(self, served, monkeypatch):
         monkeypatch.setattr(infoprovider, "HANDLER_TIMEOUT_SECONDS", 0.5)
-        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), self._config(site_config)) as server:
-            with socket.create_connection(server.server_address[:2], timeout=5) as drip:
-                start = time.monotonic()
-                drip.sendall(b"GET /info HTTP/1.0\r\nX-Drip: ")
-                try:
-                    # One header byte every 0.2 s, each well inside the deadline.
-                    while not select.select([drip], [], [], 0.2)[0]:
-                        assert time.monotonic() - start < 3, "a dripping client is never cut off"
-                        drip.send(b"a")
-                    assert drip.recv(1) == b""
-                except ConnectionResetError:  # the server closed with the drip unread
-                    pass
-                assert time.monotonic() - start < 0.5 + 0.5
+        with socket.create_connection(served[0].server_address[:2], timeout=5) as drip:
+            start = time.monotonic()
+            drip.sendall(b"GET /info HTTP/1.0\r\nX-Drip: ")
+            try:
+                # One header byte every 0.2 s, each well inside the deadline.
+                while not select.select([drip], [], [], 0.2)[0]:
+                    assert time.monotonic() - start < 3, "a dripping client is never cut off"
+                    drip.send(b"a")
+                assert drip.recv(1) == b""
+            except ConnectionResetError:  # the server closed with the drip unread
+                pass
+            assert time.monotonic() - start < 0.5 + 0.5
 
     def test_stop_twice_is_quiet_and_frees_the_port(self, kebnekaise_fixture, site_config, capfd):
         before = set(threading.enumerate())
@@ -371,9 +362,7 @@ class TestServeInfo:
             again.bind(("127.0.0.1", port))
             again.listen(1)
 
-    def test_fault_in_an_answer_is_reported_and_the_workers_serve_on(
-        self, kebnekaise_fixture, site_config, monkeypatch, capfd
-    ):
+    def test_fault_in_an_answer_is_reported_and_the_workers_serve_on(self, served, monkeypatch, capfd):
         answer = _httpd.InfoServer._answer
         faults = [RuntimeError("injected answer fault")]
 
@@ -383,19 +372,20 @@ class TestServeInfo:
             return answer(server, *args)
 
         monkeypatch.setattr(_httpd.InfoServer, "_answer", answer_or_fail_once)
-        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), self._config(site_config)) as server:
-            threads = threading.active_count()
-            with socket.create_connection(server.server_address[:2], timeout=5) as client:
-                client.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
-                try:
-                    assert client.recv(1) == b""  # closed with no answer
-                except ConnectionResetError:
-                    pass
-            assert faults == []
-            for _ in range(_httpd.WORKERS + 1):
-                with urllib.request.urlopen(server.url + "/healthz", timeout=5) as response:
-                    assert response.read() == b"ok"
-            assert threading.active_count() == threads  # no worker died of the fault
+        server = served[0]
+        threads = threading.active_count()
+        with socket.create_connection(server.server_address[:2], timeout=5) as client:
+            client.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            try:
+                assert client.recv(1) == b""  # closed with no answer
+            except ConnectionResetError:
+                pass
+        assert faults == []
+        for _ in range(5):
+            with urllib.request.urlopen(server.url + "/healthz", timeout=5) as response:
+                assert response.read() == b"ok"
+        assert threading.active_count() == threads  # no worker died of the fault
+        server.stop()  # joins the worker that reports the fault
         err = capfd.readouterr().err
         assert "Traceback (most recent call last):" in err
         assert "RuntimeError: injected answer fault" in err
@@ -441,16 +431,15 @@ class TestServeInfo:
         # stop() has joined every worker, so each reset has been handled.
         assert capfd.readouterr().err == ""
 
-    def test_connect_burst_is_not_dropped(self, kebnekaise_fixture, site_config, monkeypatch):
+    def test_connect_burst_is_not_dropped(self, served, monkeypatch):
         monkeypatch.setattr(infoprovider, "HANDLER_TIMEOUT_SECONDS", 0.5)
-        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), self._config(site_config)) as server:
-            with contextlib.ExitStack() as held:
-                # Every worker holds an idle socket, so the rest wait in the listen
-                # backlog; a connect whose SYN overflowed it is retried only after 1 s.
-                for _ in range(3 * _httpd.WORKERS):
-                    start = time.monotonic()
-                    held.enter_context(socket.create_connection(server.server_address[:2], timeout=5))
-                    assert time.monotonic() - start < 0.5
+        with contextlib.ExitStack() as held:
+            # The workers each hold an idle socket, so the rest wait in the listen
+            # backlog; a connect whose SYN overflowed it is retried only after 1 s.
+            for _ in range(12):
+                start = time.monotonic()
+                held.enter_context(socket.create_connection(served[0].server_address[:2], timeout=5))
+                assert time.monotonic() - start < 0.5
 
     @pytest.mark.parametrize(
         "request_bytes, status",
@@ -492,19 +481,18 @@ class TestServeInfo:
             "http-1.10", "leading-crlf", "double-slash",
         ],
     )
-    def test_request_edge_cases(self, request_bytes, status, kebnekaise_fixture, site_config, monkeypatch):
+    def test_request_edge_cases(self, request_bytes, status, served, monkeypatch):
         monkeypatch.setattr(infoprovider, "HANDLER_TIMEOUT_SECONDS", 1.0)
-        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), self._config(site_config)) as server:
-            with socket.create_connection(server.server_address[:2], timeout=5) as client:
-                start = time.monotonic()
-                client.sendall(request_bytes)
-                answer = b""
-                try:
-                    while chunk := client.recv(65536):
-                        answer += chunk
-                except ConnectionResetError:  # closed with the rest of a refused request unread
-                    pass
-                elapsed = time.monotonic() - start
+        with socket.create_connection(served[0].server_address[:2], timeout=5) as client:
+            start = time.monotonic()
+            client.sendall(request_bytes)
+            answer = b""
+            try:
+                while chunk := client.recv(65536):
+                    answer += chunk
+            except ConnectionResetError:  # closed with the rest of a refused request unread
+                pass
+            elapsed = time.monotonic() - start
         status_line, *header_lines = answer.partition(b"\r\n\r\n")[0].split(b"\r\n")
         assert status_line.split(b" ", 2)[:2] == [b"HTTP/1.0", status], answer[:200]
         names = {line.partition(b":")[0].lower() for line in header_lines}
