@@ -143,7 +143,7 @@ def cmd_infoprovider(args: argparse.Namespace) -> int:
 
 
 def _read_document(target: str) -> str:
-    if target.startswith(("http://", "https://")):
+    if target[:8].lower().startswith(("http://", "https://")):  # a scheme matches in any case (RFC 3986 section 3.1)
         return fetch_info(target)
     return read_text(Path(target), CliInputError)
 

@@ -217,7 +217,7 @@ def _read_head(stream: BufferedIOBase, url: str) -> tuple[int, str, int | None]:
     if len(line) > MAX_LINE_BYTES or http_major(version) != 1 or not (
         len(status) == 3 and status.isdigit()
     ):
-        raise Unreachable(f"cannot fetch {url}: not an HTTP/1.0 or HTTP/1.1 status line: {line[:80]!r}")
+        raise Unreachable(f"cannot fetch {url}: not an HTTP/1.x status line: {line[:80]!r}")
     lines = header_lines(stream)
     if lines is None:
         raise Unreachable(f"cannot fetch {url}: head over {MAX_HEADERS} lines, or a line over {MAX_LINE_BYTES} bytes")

@@ -39,6 +39,10 @@ __all__ = [
 
 DEFAULT_BIND = "127.0.0.1:8070"
 _CONTROL_CHARS = tuple(map(chr, range(0x20)))
+# XML 1.0 cannot carry these, not even as references: a published string holding one is refused.  An id
+# may hold tab, LF and CR, which _quoteattr writes as references; a resource may hold no C0 control.
+_NONCHARACTERS = ("\ufffe", "\uffff")
+_NOT_IN_IDS = tuple(char for char in _CONTROL_CHARS if char not in "\t\n\r") + _NONCHARACTERS
 # A connection is dropped once its whole exchange, request and response,
 # has taken this long, so a slow or idle client cannot hold a server worker.
 HANDLER_TIMEOUT_SECONDS = 10.0
@@ -73,6 +77,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _check_id(name: str, value: str) -> None:
+    if any(char in value for char in _NOT_IN_IDS):
+        raise ValueError(f"{name} holds a character XML 1.0 cannot carry: {value!r}")
+
+
 class ComputingManagerRecord(Record):
     """Computing-manager attributes: LRMS flavour plus its resource strings.
 
@@ -89,14 +98,16 @@ class ComputingManagerRecord(Record):
     def validate(self) -> None:
         if not self.manager_name:
             raise ValueError("manager_name must be non-empty")
+        _check_id("manager_name", self.manager_name)
         resources = self.general_resources
         if "" in resources:
             raise ValueError("general_resources must not contain empty strings")
         joined = "".join(resources)
         # One memchr-speed ``in`` scan per code point beats a regex class over the whole text.
-        if any(char in joined for char in _CONTROL_CHARS):
-            resource = next(r for r in resources if any(char in r for char in _CONTROL_CHARS))
-            raise ValueError(f"resource string contains control characters: {resource!r}")
+        for chars, what in ((_CONTROL_CHARS, "control characters"), (_NONCHARACTERS, "U+FFFE or U+FFFF")):
+            if any(char in joined for char in chars):
+                resource = next(r for r in resources if any(char in r for char in chars))
+                raise ValueError(f"resource string contains {what}: {resource!r}")
 
 
 class ComputingServiceRecord(Record):
@@ -110,6 +121,8 @@ class ComputingServiceRecord(Record):
     def validate(self) -> None:
         if not self.service_id:
             raise ValueError("service_id must be non-empty")
+        _check_id("admin_domain", self.admin_domain)
+        _check_id("service_id", self.service_id)
         self.manager.validate()
 
 

@@ -100,6 +100,28 @@ class TestInfoprovider:
         bad.write_text("main|1|gpu:a:b:c:1\n")
         assert main(["infoprovider", "--fixture", str(bad)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "flag, content, error",
+        [
+            ("--fixture", "odd|1|gpu:\uffff\n", "resource string contains U+FFFE or U+FFFF: 'gpu:\\uffff'"),
+            (
+                "--site-config",
+                "admin_domain = hpc\x01n\nservice_id = s\nmanager_name = slurm\n",
+                "admin_domain holds a character XML 1.0 cannot carry: 'hpc\\x01n'",
+            ),
+        ],
+        ids=["resource", "admin-domain"],
+    )
+    def test_string_xml_cannot_carry_is_input_error(self, flag, content, error, tmp_path, capsys):
+        path = tmp_path / "input"
+        path.write_text(content, encoding="utf-8")
+        assert main(["infoprovider", flag, str(path)]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"grespipe: error: {error}\n")
+
+    def test_refresh_and_bind_are_accepted_when_printing(self, capsys):
+        assert main(["infoprovider", "--refresh", "5", "--bind", "127.0.0.1:0"]) == EXIT_OK
+        assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "infoprovider.out").read_bytes()
+
     def test_serve_on_occupied_port_is_env_error(self, capsys):
         blocker = socket.socket()
         try:
@@ -253,6 +275,15 @@ class TestArcinfo:
         document.write_text("<InfoRoot/>".ljust(100))
         assert main(["arcinfo", str(document)]) == EXIT_REFUSED
         assert "no ComputingService" in capsys.readouterr().err
+
+    def test_scheme_matches_in_any_case(self, capsys, served, tmp_path):
+        url = served[0].url.replace("http://", "HTTP://") + "/info"
+        assert main(["arcinfo", url]) == EXIT_OK
+        assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "arcinfo.out").read_bytes()
+        # The sample job asks for k80 where the sample cluster advertises k80ce: refused after the fetch.
+        argv = ["arcsub", str(data.HELLO_XRSL), "--spool-dir", str(tmp_path / "spool"), "--match", url]
+        assert main(argv) == EXIT_REFUSED
+        assert "no advertised target" in capsys.readouterr().err
 
     def test_endpoint_setting_supplies_default_target(self, capsys, monkeypatch, served):
         monkeypatch.setenv("GRESPIPE_ENDPOINT", served[0].url.removeprefix("http://"))
@@ -615,7 +646,7 @@ def not_http_url():
 )
 def test_non_http_exchange_is_input_error(argv, not_http_url, tmp_path, capsys):
     cases = [
-        (not_http_url, "not an HTTP/1.0 or HTTP/1.1 status line: b'garbage\\r\\n'"),
+        (not_http_url, "not an HTTP/1.x status line: b'garbage\\r\\n'"),
         ("http://127.0.0.1:notaport/info", "Port could not be cast to integer value as 'notaport'"),
     ]
     for url, error in cases:

@@ -9,7 +9,7 @@ import warnings
 from xml.etree import ElementTree
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from grespipe import _text
@@ -210,6 +210,25 @@ def test_emit_parse_round_trip(resources):
     parsed = parse_execution_targets(render_glue2_xml(record))
     assert len(parsed) == 1
     assert list(parsed[0].manager.general_resources) == resources
+
+
+# C0, printable ASCII, DEL, NEL, a Latin-1 letter, an astral character and U+FFFD to U+FFFF:
+# characters XML 1.0 carries as they are, as references, or not at all.
+_XML_EDGE_CHARS = [chr(code) for code in range(0x80)] + ["\x85", "\u00e9", "\U0001d11e", "\ufffd", "\ufffe", "\uffff"]
+_XML_EDGE_TEXT = st.text(alphabet=st.sampled_from(_XML_EDGE_CHARS), max_size=8)
+
+
+@given(_XML_EDGE_TEXT, _XML_EDGE_TEXT, _XML_EDGE_TEXT, st.lists(_XML_EDGE_TEXT, max_size=4))
+@example("hpc\x01n", "svc", "slurm", [])
+@example("domain", "svc", "slurm", ["gpu:\uffff"])
+@example("do\tma\ni\rn", "s\u00e9rvice", "\U0001d11e", ["\x7f\x85\ufffd"])
+def test_every_valid_record_reads_back_as_itself(admin_domain, service_id, manager_name, resources):
+    record = ComputingServiceRecord(admin_domain, service_id, ComputingManagerRecord(manager_name, tuple(resources)))
+    try:
+        record.validate()
+    except ValueError:
+        return
+    assert parse_execution_targets(render_glue2_xml(record)) == [record]
 
 
 @given(st.lists(_resource_text, max_size=4), st.integers(min_value=0, max_value=10**6))

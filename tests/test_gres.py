@@ -63,6 +63,10 @@ class TestParse:
         entry = parse_gres_expression("gpu").entries[0]
         assert (entry.subtype, entry.count, entry.count_literal) == (None, 1, None)
 
+    @pytest.mark.parametrize("line", ["gpu:2", "gpu"], ids=["bare-count", "no-count"])
+    def test_count_without_a_unit_has_no_suffix(self, line):
+        assert parse_gres_expression(line).entries[0].count_suffix is None
+
     def test_order_preserved(self):
         names = [e.name for e in parse_gres_expression("b:1,a:2,c:3")]
         assert names == ["b", "a", "c"]
