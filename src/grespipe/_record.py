@@ -1,5 +1,5 @@
 """The base of grespipe's records: plain classes with ``__slots__`` and a hand-written ``__init__``, so that no
-command loads ``dataclasses`` to define them.  ``infoprovider.SiteConfig`` is the one dataclass."""
+command loads ``dataclasses`` to define them; it is imported only to raise ``FrozenInstanceError``."""
 
 set_field = object.__setattr__  # how an __init__ sets the fields that __setattr__ refuses
 
@@ -11,8 +11,8 @@ def _refuse(verb: str, name: str):
 
 
 class Record:
-    """Equality within one class, hashing, ``repr``, copying and immutability over the fields named, in
-    order, by ``__match_args__``, each as ``@dataclass(frozen=True)`` gives them."""
+    """Equality within one class, hashing, ``repr``, copying, ``replace`` and immutability over the fields
+    named, in order, by ``__match_args__``, each as ``@dataclass(frozen=True)`` gives them."""
 
     __slots__ = ()
 
@@ -31,6 +31,11 @@ class Record:
 
     def __reduce__(self):
         return self.__class__, self._values()
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, built through ``__init__`` so that its checks run again, as
+        ``dataclasses.replace`` does; an unknown field raises ``TypeError``."""
+        return self.__class__(**dict(zip(self.__match_args__, self._values()), **changes))
 
     def __setattr__(self, name: str, value) -> None:
         _refuse("assign to", name)

@@ -30,7 +30,9 @@ from pathlib import Path
 from . import data
 from .client import ClientError, NoServices, fetch_info, format_arcinfo, parse_execution_targets
 from ._text import key_values, read_text
-from .infoprovider import DEFAULT_BIND, BadConfig, BindFailure, build_computing_service, render_glue2_xml, serve_info
+from .infoprovider import (
+    DEFAULT_BIND, BadConfig, BindFailure, SiteConfig, build_computing_service, render_glue2_xml, serve_info,
+)
 from .jobsubmit import (
     JobSubmitError,
     advertised_gres,
@@ -117,17 +119,13 @@ def cmd_mock_sinfo(args: argparse.Namespace) -> int:
 
 
 def cmd_infoprovider(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from .infoprovider import SiteConfig  # the one command that reads a site config loads dataclasses
-
     settings = _Settings(args)
     fixture = load_fixture(settings["fixture"])
     site = SiteConfig.from_file(settings["site_config"])
     if args.bind:
-        site = dataclasses.replace(site, bind=args.bind)
+        site = site.replace(bind=args.bind)
     if args.refresh is not None:
-        site = dataclasses.replace(site, refresh_interval_seconds=args.refresh)
+        site = site.replace(refresh_interval_seconds=args.refresh)
     if not args.serve:
         snapshot = collect_cluster_info(fixture, now=_clock())
         sys.stdout.write(render_glue2_xml(build_computing_service(snapshot, site)))

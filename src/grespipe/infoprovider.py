@@ -19,10 +19,12 @@ by the first failure.
 
 from __future__ import annotations
 
+from _thread import TIMEOUT_MAX  # threading's, without loading threading in every command
 from collections.abc import Callable, Mapping
+from pathlib import Path
 
 from ._record import Record, set_field
-from ._text import ascii_int
+from ._text import ascii_int, key_values
 from .lrms import ClusterSnapshot
 
 __all__ = [
@@ -67,14 +69,51 @@ def split_bind(bind: str) -> tuple[str, int]:
     return host, port
 
 
-def __getattr__(name: str):
-    # SiteConfig, the one dataclass, is defined on first use, so that only the
-    # commands that read a site config load ``dataclasses``.
-    if name == "SiteConfig":
-        from ._siteconfig import SiteConfig
+_REQUIRED_KEYS = ("admin_domain", "service_id", "manager_name")
 
-        return SiteConfig
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+class SiteConfig(Record):
+    """Site identity plus endpoint settings for the info service."""
+
+    __slots__ = __match_args__ = _REQUIRED_KEYS + ("bind", "refresh_interval_seconds")
+
+    def __init__(
+        self, admin_domain: str, service_id: str, manager_name: str, bind: str = DEFAULT_BIND,
+        refresh_interval_seconds: float = 30.0,
+    ):
+        set_field(self, "admin_domain", admin_domain)
+        set_field(self, "service_id", service_id)
+        set_field(self, "manager_name", manager_name)
+        set_field(self, "bind", bind)
+        set_field(self, "refresh_interval_seconds", refresh_interval_seconds)
+        missing = [key for key in _REQUIRED_KEYS if not getattr(self, key)]
+        if missing:
+            raise BadConfig(f"missing required config keys: {', '.join(missing)}")
+        # nan would make the refresher spin; above TIMEOUT_MAX its select raises.
+        if not 0 < self.refresh_interval_seconds <= TIMEOUT_MAX:
+            raise BadConfig(f"refresh_interval_seconds must be in (0, {TIMEOUT_MAX:g}]")
+        split_bind(self.bind)
+
+    @classmethod
+    def from_mapping(cls, mapping: Mapping[str, str]) -> SiteConfig:
+        unknown = set(mapping) - set(cls.__match_args__)
+        if unknown:
+            raise BadConfig(f"unknown config keys: {', '.join(sorted(unknown))}")
+        kwargs: dict = {key: mapping.get(key, "") for key in _REQUIRED_KEYS}
+        if "bind" in mapping:
+            kwargs["bind"] = mapping["bind"]
+        if "refresh_interval_seconds" in mapping:
+            try:
+                kwargs["refresh_interval_seconds"] = float(mapping["refresh_interval_seconds"])
+            except ValueError as exc:
+                raise BadConfig("refresh_interval_seconds must be a number") from exc
+        return cls(**kwargs)
+
+    @classmethod
+    def from_file(cls, path: str | Path) -> SiteConfig:
+        """Load ``key = value`` lines; ``#`` comments and blanks are ignored."""
+        lines = key_values(Path(path), BadConfig)
+        return cls.from_mapping({key: value for _lineno, key, value in lines})
 
 
 def _check_id(name: str, value: str) -> None:
@@ -137,8 +176,6 @@ def build_computing_service(
     plain mapping (validated via :meth:`SiteConfig.from_mapping`, raising
     :class:`BadConfig` on missing keys).
     """
-    from ._siteconfig import SiteConfig
-
     if not isinstance(site_config, SiteConfig):
         site_config = SiteConfig.from_mapping(site_config)
     record = ComputingServiceRecord(

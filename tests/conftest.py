@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import os
 import random
 import socket
@@ -109,7 +108,7 @@ def served(kebnekaise_fixture, site_config):
     """The sample endpoint, serving the sample fixture on a free loopback port
     until the test ends, and the document it serves."""
     backend = SlurmFixtureBackend(kebnekaise_fixture)
-    with serve_info(backend, dataclasses.replace(site_config, bind="127.0.0.1:0")) as server:
+    with serve_info(backend, site_config.replace(bind="127.0.0.1:0")) as server:
         yield server, render_glue2_xml(build_computing_service(backend.collect(), site_config))
 
 

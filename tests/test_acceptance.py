@@ -4,7 +4,6 @@ enforcing its runtime budget.
 """
 
 import contextlib
-import dataclasses
 import io
 import random
 import time
@@ -28,7 +27,6 @@ from conftest import (
     RESOURCE_LINES,
     SINFO_BARE_LINES,
     brute_force_match,
-    random_count_literal,
     random_fixture,
     random_gres_line,
 )
@@ -83,9 +81,7 @@ def test_criterion_2_xml_fidelity():
 def test_criterion_3_arcinfo_fidelity():
     def body():
         fixture = load_fixture(data.KEBNEKAISE_FIXTURE)
-        config = dataclasses.replace(
-            SiteConfig.from_file(data.SITE_CONF), bind="127.0.0.1:0"
-        )
+        config = SiteConfig.from_file(data.SITE_CONF).replace(bind="127.0.0.1:0")
         with serve_info(SlurmFixtureBackend(fixture), config) as server:
             document = fetch_info(server.url + "/info")
         report = format_arcinfo(parse_execution_targets(document))

@@ -670,7 +670,8 @@ _ON_DEMAND_MODULES = (
     "xml.sax.saxutils",
     "subprocess",
 )
-# What ``dataclasses`` loads: only the command that reads a site config, SiteConfig being the one dataclass.
+# What ``dataclasses`` loads, which no command needs: every record is a ``Record``, and ``_record`` imports
+# ``dataclasses`` only to raise ``FrozenInstanceError``.
 _DATACLASS_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 _PIPELINE_MODULES = tuple(
     f"grespipe.{name}" for name in ("gres", "lrms", "infoprovider", "client", "xrsl", "jobsubmit")
@@ -724,8 +725,7 @@ def test_commands_load_only_the_stdlib_they_use(argv, bare_modules, tmp_path):
     new = loaded - bare_modules
     assert sorted(new.intersection(_ON_DEMAND_MODULES)) == []
     assert ("xml.etree.ElementTree" in new) == (argv[:1] == ["arcinfo"])
-    if argv[:1] != ["infoprovider"]:
-        assert sorted(new.intersection(_DATACLASS_MODULES + ("typing",))) == []
+    assert sorted(new.intersection(_DATACLASS_MODULES + ("typing", "threading"))) == []
     # The benchmark's tracer finds each pipeline module in sys.modules.
     assert loaded.issuperset(_PIPELINE_MODULES)
 
@@ -734,12 +734,12 @@ def test_commands_load_only_the_stdlib_they_use(argv, bare_modules, tmp_path):
 # answer to the path given as the argument, stops the server, then prints
 # every module the interpreter has loaded.
 _SERVE_AND_LIST_MODULES = """
-import dataclasses, socket, sys
+import socket, sys
 from pathlib import Path
 from grespipe import data
 from grespipe.infoprovider import SiteConfig, serve_info
 from grespipe.lrms import SlurmFixtureBackend, load_fixture
-site = dataclasses.replace(SiteConfig.from_file(data.SITE_CONF), bind="127.0.0.1:0")
+site = SiteConfig.from_file(data.SITE_CONF).replace(bind="127.0.0.1:0")
 with serve_info(SlurmFixtureBackend(load_fixture(data.KEBNEKAISE_FIXTURE)), site) as server:
     with socket.create_connection(server.server_address[:2], timeout=10) as client:
         client.sendall(b"GET /info HTTP/1.0\\r\\n\\r\\n")

@@ -1,7 +1,6 @@
 """Tests for record building, XML rendering and the info endpoint."""
 
 import contextlib
-import dataclasses
 import itertools
 import logging
 import random
@@ -271,7 +270,7 @@ def test_pipeline_fidelity_random_fixtures():
 
 class TestServeInfo:
     def _config(self, site_config, **overrides):
-        return dataclasses.replace(site_config, bind="127.0.0.1:0", **overrides)
+        return site_config.replace(bind="127.0.0.1:0", **overrides)
 
     def test_get_info_matches_render(self, served):
         server, document = served
@@ -506,7 +505,7 @@ class TestServeInfo:
             blocker.bind(("127.0.0.1", 0))
             blocker.listen(1)
             port = blocker.getsockname()[1]
-            config = dataclasses.replace(site_config, bind=f"127.0.0.1:{port}")
+            config = site_config.replace(bind=f"127.0.0.1:{port}")
             with pytest.raises(BindFailure):
                 serve_info(SlurmFixtureBackend(kebnekaise_fixture), config)
         finally:
@@ -519,7 +518,7 @@ class TestServeInfo:
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
-        config = dataclasses.replace(site_config, bind=f"127.0.0.1:{port}")
+        config = site_config.replace(bind=f"127.0.0.1:{port}")
         # Holding the traceback keeps a half-started server alive, so a socket
         # left open is not closed by garbage collection before the re-bind.
         with pytest.raises(RuntimeError) as raised:

@@ -26,7 +26,7 @@ from grespipe.lrms import (
     sinfo_query,
 )
 
-from conftest import PREFIXED_LINES, RESOURCE_LINES, SINFO_BARE_LINES, random_fixture
+from conftest import PREFIXED_LINES, RESOURCE_LINES, random_fixture
 
 
 @pytest.fixture

@@ -132,6 +132,24 @@ def test_record_equals_only_its_own_class(record):
     assert built.__match_args__ == fields
 
 
+def test_record_replace_builds_a_new_equal_record(record):
+    make, _fields, _repr = record
+    built = make()
+    replaced = built.replace()
+    assert replaced == built and replaced is not built and type(replaced) is type(built)
+    with pytest.raises(TypeError):
+        built.replace(no_such_field=None)
+
+
+def test_record_replace_changes_only_the_fields_named_and_checks_again():
+    site = SiteConfig("hpc2n.umu.se", "kebnekaise-ce", "slurm")
+    assert site.replace(bind="0.0.0.0:80") == SiteConfig("hpc2n.umu.se", "kebnekaise-ce", "slurm", bind="0.0.0.0:80")
+    with pytest.raises(BadConfig) as raised:
+        site.replace(bind="nope")
+    assert type(raised.value) is BadConfig
+    assert str(raised.value) == "bind must be host:port, got 'nope'"
+
+
 def test_records_of_two_classes_with_the_same_values_differ():
     manifest = RteManifest("KGPU6", ("--gres=gpu:k80:1",))
     manager = ComputingManagerRecord("KGPU6", ("--gres=gpu:k80:1",))
