@@ -10,6 +10,8 @@ use them, so a command that neither fetches nor parses does not load them.
 
 from __future__ import annotations
 
+import gc
+from _thread import allocate_lock
 from io import BufferedIOBase
 
 from ._text import ascii_int, read_bounded
@@ -30,6 +32,7 @@ __all__ = [
 ]
 
 _XML_MIME_TYPES = ("application/xml", "text/xml")
+_COLLECTOR = allocate_lock()  # held by a parse that reads and pauses the collector, or turns it back on
 
 
 class ClientError(Exception):
@@ -82,11 +85,32 @@ def parse_execution_targets(xml_text: str) -> list[ComputingServiceRecord]:
     inside a GeneralResources are not looked for; a manager outside every
     service, and a GeneralResources outside every such manager, is ignored.
     Each element is visited at most once, so the time is linear in the
-    document's size.
+    document's size.  The cyclic collector is paused meanwhile: the tree holds
+    no cycle.  The pause is process-wide, so a concurrent parse may run with it
+    on, losing only the gain; the state at entry is restored, so off stays off.
 
     Raises :class:`MalformedXml` for non-well-formed input and
     :class:`NoServices` when no ComputingService element exists.
     """
+    with _COLLECTOR:  # so no other parse's restore falls between this read and pause and leaves it off
+        enabled = gc.isenabled()
+        gc.disable()
+    try:
+        services = _services(xml_text)
+    finally:
+        if enabled:
+            with _COLLECTOR:
+                gc.enable()
+    if not services:
+        raise NoServices("document contains no ComputingService element")
+    return [
+        ComputingServiceRecord(domain, service_id, ComputingManagerRecord(manager_id, tuple(resources)))
+        for domain, service_id, managers in services
+        for manager_id, resources in managers or [("", ())]
+    ]
+
+
+def _services(xml_text: str) -> list[tuple[str, str, list[tuple[str, list[str]]]]]:
     from xml.etree import ElementTree
 
     try:
@@ -117,13 +141,7 @@ def parse_execution_targets(xml_text: str) -> list[ComputingServiceRecord]:
             context = (domain, managers, resources)
         # Children go on in reverse, so they come off in document order.
         stack.extend(zip(reversed(element), [context] * len(element)))
-    if not services:
-        raise NoServices("document contains no ComputingService element")
-    return [
-        ComputingServiceRecord(domain, service_id, ComputingManagerRecord(manager_id, tuple(resources)))
-        for domain, service_id, managers in services
-        for manager_id, resources in managers or [("", ())]
-    ]
+    return services
 
 
 def format_arcinfo(records: list[ComputingServiceRecord]) -> str:
@@ -137,18 +155,12 @@ def format_arcinfo(records: list[ComputingServiceRecord]) -> str:
     """
     lines = []
     for record in records:
-        header = "Computing service:"
-        if record.service_id:
-            header += f" {record.service_id}"
-        lines.append(header)
+        lines.append("Computing service:" + (f" {record.service_id}" if record.service_id else ""))
         lines.append("  Batch System Information:")
         if record.manager.general_resources:
             # One join per manager: the header and its resources, each on an indented line.
             lines.append("\n      ".join(("    General resources:", *record.manager.general_resources)))
-    if not lines:
-        return ""
-    lines.append("")
-    return "\n".join(lines)
+    return "".join(f"{line}\n" for line in lines)
 
 
 def fetch_info(url: str, timeout: float = 10.0) -> str:
@@ -158,13 +170,13 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
     body.  The head is read within the endpoint's own limits, and only its
     ``Content-Type``, ``Content-Length`` and ``Transfer-Encoding`` are read.
     Redirects are not followed and proxy variables are not read.  Raises
-    :class:`Unreachable` on connection failure, at the deadline, or on an
-    answer that is not HTTP/1.x within those limits, has a bad or
-    conflicting ``Content-Length`` or any ``Transfer-Encoding``; :class:`BadStatus`
-    on any non-200 answer, :class:`BadContentType` when the response is not XML,
-    :class:`DocumentTooLarge` when the body exceeds
-    :data:`grespipe._text.MAX_DOCUMENT_BYTES` and :class:`FetchError` when the
-    body ends before its ``Content-Length``.  A URL that is not ``http://`` or
+    :class:`Unreachable` on a URL that cannot be split or put in the request head, on
+    connection failure, at the deadline, or on an answer that is not HTTP/1.x within
+    those limits, has a bad or conflicting ``Content-Length`` or any
+    ``Transfer-Encoding``; :class:`BadStatus` on any non-200 answer,
+    :class:`BadContentType` when the response is not XML, :class:`DocumentTooLarge` when
+    the body exceeds :data:`grespipe._text.MAX_DOCUMENT_BYTES` and :class:`FetchError`
+    when the body ends before its ``Content-Length``.  A URL that is not ``http://`` or
     that carries user information (``user@host``) raises :class:`ValueError`.
     """
     import time
@@ -173,7 +185,10 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
     from ._wire import DeadlineSocket
 
     deadline = time.monotonic() + timeout
-    parts = urlsplit(url)
+    try:
+        parts = urlsplit(url)
+    except ValueError as exc:  # a bracketed host left open or not an IPv6 address
+        raise Unreachable(f"cannot fetch {url}: {exc}") from exc
     if parts.scheme != "http":
         raise ValueError(f"http URL required, got {url!r}")
     if "@" in parts.netloc:  # refused, rather than its credentials dropped or sent as the Host header

@@ -648,6 +648,7 @@ def test_non_http_exchange_is_input_error(argv, not_http_url, tmp_path, capsys):
     cases = [
         (not_http_url, "not an HTTP/1.x status line: b'garbage\\r\\n'"),
         ("http://127.0.0.1:notaport/info", "Port could not be cast to integer value as 'notaport'"),
+        ("http://[::1/info", "Invalid IPv6 URL"),
     ]
     for url, error in cases:
         assert main([arg.format(url=url, spool=tmp_path / "spool") for arg in argv]) == EXIT_INPUT

@@ -3,6 +3,8 @@
 import contextlib
 import gc
 import socket
+import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from grespipe import _text
+from grespipe import _text, client
 from grespipe.client import (
     BadContentType,
     BadStatus,
@@ -148,6 +150,100 @@ class TestParseExecutionTargets:
         elapsed = time.perf_counter() - start
         assert [r.admin_domain for r in records] == ["outer"] * depth + ["inner"]
         assert elapsed < 5, f"parse took {elapsed:.1f} s"
+
+    def test_a_parse_runs_no_collection_and_leaves_no_cyclic_garbage(self):
+        resources = tuple(f"gpu:model{index}:{index % 8 + 1},mps:{index}" for index in range(10_000))
+        document = render_glue2_xml(ComputingServiceRecord("domain", "svc", ComputingManagerRecord("slurm", resources)))
+        parse_execution_targets(document)  # warm-up: the first parse imports xml.etree
+        gc.collect()
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            records = parse_execution_targets(document)
+        finally:
+            gc.callbacks.remove(count)
+        assert starts == [], f"{len(starts)} collections started during one parse"
+        assert records[0].manager.general_resources == resources
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "document, error",
+        [(GOLDEN_DOCUMENT, None), ("<InfoRoot><unclosed>", MalformedXml), ("<InfoRoot/>", NoServices)],
+        ids=["valid", "malformed", "no-services"],
+    )
+    def test_parse_restores_the_collector_state(self, enabled, document, error):
+        def parse_twenty():
+            for _ in range(20):
+                parse_execution_targets(GOLDEN_DOCUMENT)
+
+        at_start, interval = gc.isenabled(), sys.getswitchinterval()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(error) if error else contextlib.nullcontext():
+                parse_execution_targets(document)
+            assert gc.isenabled() is enabled
+            sys.setswitchinterval(1e-5)  # threads switch inside one another's parses
+            threads = [threading.Thread(target=parse_twenty) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert gc.isenabled() is enabled
+        finally:
+            sys.setswitchinterval(interval)
+            (gc.enable if at_start else gc.disable)()
+
+    def test_a_parse_ending_between_anothers_read_and_pause_leaves_the_collector_on(self, monkeypatch):
+        # Parse A has paused the collector when parse B reads its state (off); A then ends and
+        # turns it on before B pauses it.  Unless A's restore waits for B's pause, B pauses a
+        # collector that it found off, so it never turns it on again.
+        a_paused, b_read, a_ended = threading.Event(), threading.Event(), threading.Event()
+        services = client._services
+
+        def services_in_a(xml_text):
+            if threading.current_thread() is parse_a:
+                a_paused.set()
+                assert b_read.wait(timeout=10)
+            return services(xml_text)
+
+        class ReadByB:  # the gc module; B's read of the collector's state holds B until A has ended
+            def __getattr__(self, name):
+                return getattr(gc, name)
+
+            def isenabled(self):
+                state = gc.isenabled()
+                if threading.current_thread() is parse_b:
+                    b_read.set()
+                    a_ended.wait(timeout=0.2)  # times out while A's restore waits for B's pause
+                return state
+
+        def parse(ended=None):
+            parse_execution_targets(GOLDEN_DOCUMENT)
+            if ended:
+                ended.set()
+
+        monkeypatch.setattr(client, "_services", services_in_a)
+        monkeypatch.setattr(client, "gc", ReadByB())
+        parse_a, parse_b = threading.Thread(target=parse, args=(a_ended,)), threading.Thread(target=parse)
+        at_start = gc.isenabled()
+        try:
+            gc.enable()
+            parse_a.start()
+            assert a_paused.wait(timeout=10)
+            parse_b.start()
+            for thread in (parse_a, parse_b):
+                thread.join(timeout=30)
+            assert not parse_a.is_alive() and not parse_b.is_alive()
+            assert gc.isenabled()
+        finally:
+            (gc.enable if at_start else gc.disable)()
 
     def test_nested_elements_attach_to_their_nearest_ancestors(self):
         document = (
@@ -613,6 +709,12 @@ class TestFetchInfo:
             with pytest.raises(FetchError) as excinfo:
                 fetch_info(url, timeout=2)
         assert type(excinfo.value) is expected, excinfo.value
+
+    @pytest.mark.parametrize("url", ["http://[::1/info", "http://::1]/info"], ids=["open-bracket", "close-bracket"])
+    def test_url_that_cannot_be_split_is_refused_by_name(self, url):
+        with pytest.raises(Unreachable) as excinfo:
+            fetch_info(url)
+        assert str(excinfo.value) == f"cannot fetch {url}: Invalid IPv6 URL"
 
     def test_unreachable_port(self):
         probe = socket.socket()
