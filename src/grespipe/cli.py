@@ -25,6 +25,7 @@ import os
 import sys
 import time
 import warnings
+from functools import partial
 from pathlib import Path
 
 from . import data
@@ -47,7 +48,6 @@ from .lrms import (
     GRES_PREFIX,
     SINFO_FORMAT,
     LrmsError,
-    SlurmFixtureBackend,
     collect_cluster_info,
     load_fixture,
     sinfo_query,
@@ -94,23 +94,18 @@ def _clock() -> float | None:
     raise CliInputError(f"bad {ENV_PREFIX}NOW value: {value!r}")
 
 
-class _Settings:
-    """Per-invocation settings with flag > env > file > default resolution."""
-
-    def __init__(self, args: argparse.Namespace):
-        lines = key_values(args.config, CliInputError, _SETTINGS) if args.config else ()
-        self._file = {key: value for _lineno, key, value in lines}
-        self._args = args
-
-    def __getitem__(self, key: str) -> str:
-        value = getattr(self._args, key, None)
-        if value is None:
-            value = os.environ.get(ENV_PREFIX + key.upper()) or self._file.get(key, _SETTINGS[key])
-        return str(value)
+def _settings(args: argparse.Namespace) -> dict[str, str]:
+    """This invocation's settings, each resolved flag > env > file > default."""
+    lines = key_values(args.config, CliInputError, _SETTINGS) if args.config else ()
+    file = {key: value for _lineno, key, value in lines}
+    return {
+        key: str(getattr(args, key, None) or os.environ.get(ENV_PREFIX + key.upper()) or file.get(key, default))
+        for key, default in _SETTINGS.items()
+    }
 
 
 def cmd_mock_sinfo(args: argparse.Namespace) -> int:
-    lines = sinfo_query(load_fixture(_Settings(args)["fixture"]), SINFO_FORMAT)
+    lines = sinfo_query(load_fixture(_settings(args)["fixture"]), SINFO_FORMAT)
     if args.bare:
         lines = [line.removeprefix(GRES_PREFIX) for line in lines]
     for line in lines:
@@ -119,7 +114,7 @@ def cmd_mock_sinfo(args: argparse.Namespace) -> int:
 
 
 def cmd_infoprovider(args: argparse.Namespace) -> int:
-    settings = _Settings(args)
+    settings = _settings(args)
     fixture = load_fixture(settings["fixture"])
     site = SiteConfig.from_file(settings["site_config"])
     if args.bind:
@@ -131,7 +126,7 @@ def cmd_infoprovider(args: argparse.Namespace) -> int:
         sys.stdout.write(render_glue2_xml(build_computing_service(snapshot, site)))
         return EXIT_OK
     try:
-        with serve_info(SlurmFixtureBackend(fixture), site) as server:
+        with serve_info(partial(collect_cluster_info, fixture), site) as server:
             print(f"serving on {server.url}", flush=True)
             while True:
                 time.sleep(1)
@@ -147,14 +142,14 @@ def _read_document(target: str) -> str:
 
 
 def cmd_arcinfo(args: argparse.Namespace) -> int:
-    target = args.target or f"http://{_Settings(args)['endpoint']}/info"
+    target = args.target or f"http://{_settings(args)['endpoint']}/info"
     records = parse_execution_targets(_read_document(target))
     sys.stdout.write(format_arcinfo(records))
     return EXIT_OK
 
 
 def cmd_arcsub(args: argparse.Namespace) -> int:
-    settings = _Settings(args)
+    settings = _settings(args)
     text = read_text(Path(args.xrsl), CliInputError)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

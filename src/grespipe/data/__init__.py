@@ -10,8 +10,3 @@ KEBNEKAISE_FIXTURE = _ROOT / "kebnekaise.fixture"
 HELLO_XRSL = _ROOT / "hello.xrsl"
 SITE_CONF = _ROOT / "site.conf"
 RTE_DIR = _ROOT  # contains KGPU6.rte
-
-
-def path(name: str) -> Path:
-    """Path of a shipped data file by name."""
-    return _ROOT / name

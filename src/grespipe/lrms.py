@@ -6,8 +6,10 @@ renders them the way ``sinfo -a -h -o "gresinfo=%G"`` would, and collection
 extracts the GRES strings while discarding ``(null)`` lines.
 
 Snapshot sources are zero-argument callables returning a
-:class:`ClusterSnapshot`; :class:`SlurmExecBackend` is one that shells out
-to a real ``sinfo`` for deployment parity.
+:class:`ClusterSnapshot`, spelled as a ``functools.partial`` over one of
+the two collectors: ``partial(collect_cluster_info, fixture)`` serves a
+fixture, and ``partial(collect_from_sinfo, cluster_name, sinfo_path=...)``
+runs a real ``sinfo`` for deployment parity.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ __all__ = [
     "sinfo_query",
     "read_gres_info",
     "collect_cluster_info",
-    "SlurmFixtureBackend",
-    "SlurmExecBackend",
+    "collect_from_sinfo",
 ]
 
 NULL_TOKEN = "(null)"
@@ -189,53 +190,35 @@ def collect_cluster_info(fixture: ClusterFixture, now: float | None = None) -> C
     return ClusterSnapshot(fixture.cluster_name, gres, int(time.time() if now is None else now))
 
 
-class SlurmFixtureBackend:
-    """Snapshot source driven by an in-memory :class:`ClusterFixture`."""
-
-    def __init__(self, fixture: ClusterFixture):
-        self.fixture = fixture
-
-    def collect(self) -> ClusterSnapshot:
-        return collect_cluster_info(self.fixture)
-
-    __call__ = collect
-
-
-class SlurmExecBackend:
-    """Snapshot source that runs a real ``sinfo -a -h -o "gresinfo=%G"``.
+def collect_from_sinfo(cluster_name: str, sinfo_path: str = "sinfo") -> ClusterSnapshot:
+    """Collect a :class:`ClusterSnapshot` by running ``sinfo -a -h -o "gresinfo=%G"``.
 
     An invocation that outlives :data:`SINFO_TIMEOUT_SECONDS` is killed and
-    reported as :class:`LrmsError`.  Lines yielding an empty value are
-    skipped defensively (a live scheduler reports ``(null)`` for
-    resource-less nodes, but an empty field would violate the snapshot
-    contract).
+    reported as :class:`LrmsError`, as is output that is not UTF-8.  Lines
+    yielding an empty value are skipped defensively (a live scheduler reports
+    ``(null)`` for resource-less nodes, but an empty field would violate the
+    snapshot contract).
     """
+    import subprocess
 
-    def __init__(self, cluster_name: str, sinfo_path: str = "sinfo"):
-        self.cluster_name = cluster_name
-        self.sinfo_path = sinfo_path
-
-    def collect(self) -> ClusterSnapshot:
-        import subprocess
-
-        try:
-            proc = subprocess.run(
-                [self.sinfo_path, *SINFO_ARGS],
-                capture_output=True,
-                text=True,
-                check=False,
-                timeout=SINFO_TIMEOUT_SECONDS,
-            )
-        except OSError as exc:
-            raise LrmsError(f"cannot run {self.sinfo_path}: {exc}") from exc
-        except subprocess.TimeoutExpired as exc:
-            raise LrmsError(f"{self.sinfo_path} timed out after {exc.timeout} s") from exc
-        if proc.returncode != 0:
-            raise LrmsError(
-                f"{self.sinfo_path} exited {proc.returncode}: {proc.stderr.strip()}"
-            )
-        lines = [line for line in proc.stdout.splitlines() if line.strip()]
-        gres = [value for value in _extract_gres(lines) if value]
-        return ClusterSnapshot(self.cluster_name, tuple(gres), int(time.time()))
-
-    __call__ = collect
+    try:
+        proc = subprocess.run(
+            [sinfo_path, *SINFO_ARGS],
+            capture_output=True,
+            check=False,
+            timeout=SINFO_TIMEOUT_SECONDS,
+        )
+    except OSError as exc:
+        raise LrmsError(f"cannot run {sinfo_path}: {exc}") from exc
+    except subprocess.TimeoutExpired as exc:
+        raise LrmsError(f"{sinfo_path} timed out after {exc.timeout} s") from exc
+    if proc.returncode != 0:
+        stderr = proc.stderr.decode("utf-8", errors="replace").strip()
+        raise LrmsError(f"{sinfo_path} exited {proc.returncode}: {stderr}")
+    try:
+        stdout = proc.stdout.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LrmsError(f"{sinfo_path} printed output that is not UTF-8: {exc}") from exc
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    gres = [value for value in _extract_gres(lines) if value]
+    return ClusterSnapshot(cluster_name, tuple(gres), int(time.time()))

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ import pytest
 import grespipe
 from grespipe import data
 from grespipe.infoprovider import SiteConfig, build_computing_service, render_glue2_xml, serve_info
-from grespipe.lrms import ClusterFixture, NodeClass, SlurmFixtureBackend, load_fixture
+from grespipe.lrms import ClusterFixture, NodeClass, collect_cluster_info, load_fixture
 
 # The six node-class GRES lines of the emulated cluster, in fixture order.
 SINFO_BARE_LINES = [
@@ -31,6 +32,8 @@ SINFO_BARE_LINES = [
 ]
 RESOURCE_LINES = [line for line in SINFO_BARE_LINES if line != "(null)"]
 PREFIXED_LINES = [f"gresinfo={line}" for line in SINFO_BARE_LINES]
+# The body of a fake ``sinfo`` that prints the sample listing.
+SAMPLE_SINFO = "".join(f"echo '{line}'\n" for line in PREFIXED_LINES)
 
 TOKEN_CHARS = string.ascii_lowercase + string.digits + "_-."
 ESCAPABLE_CHARS = "&<>\"'"
@@ -53,6 +56,15 @@ def run_python(*args: str, **options) -> subprocess.CompletedProcess:
     output captured and a 60 s timeout unless ``options`` say otherwise."""
     options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, "timeout": 60, **options}
     return subprocess.run([sys.executable, *args], env=child_env(), **options)
+
+
+def fake_sinfo(directory: Path, body: str) -> str:
+    """Path of an executable shell script in ``directory`` that runs
+    ``body``, to stand in for ``sinfo``."""
+    script = directory / "fake_sinfo"
+    script.write_text("#!/bin/sh\n" + body)
+    script.chmod(0o755)
+    return str(script)
 
 
 @contextlib.contextmanager
@@ -107,9 +119,9 @@ def site_config() -> SiteConfig:
 def served(kebnekaise_fixture, site_config):
     """The sample endpoint, serving the sample fixture on a free loopback port
     until the test ends, and the document it serves."""
-    backend = SlurmFixtureBackend(kebnekaise_fixture)
+    backend = partial(collect_cluster_info, kebnekaise_fixture)
     with serve_info(backend, site_config.replace(bind="127.0.0.1:0")) as server:
-        yield server, render_glue2_xml(build_computing_service(backend.collect(), site_config))
+        yield server, render_glue2_xml(build_computing_service(backend(), site_config))
 
 
 def random_token(rng: random.Random, alphabet: str = TOKEN_CHARS) -> str:

@@ -7,6 +7,7 @@ import contextlib
 import io
 import random
 import time
+from functools import partial
 from xml.etree import ElementTree
 
 from grespipe import data
@@ -21,7 +22,7 @@ from grespipe.gres import (
 )
 from grespipe.infoprovider import SiteConfig, build_computing_service, render_glue2_xml, serve_info
 from grespipe.jobsubmit import match_target
-from grespipe.lrms import SlurmFixtureBackend, collect_cluster_info, load_fixture, read_gres_info
+from grespipe.lrms import collect_cluster_info, load_fixture, read_gres_info
 
 from conftest import (
     RESOURCE_LINES,
@@ -82,7 +83,7 @@ def test_criterion_3_arcinfo_fidelity():
     def body():
         fixture = load_fixture(data.KEBNEKAISE_FIXTURE)
         config = SiteConfig.from_file(data.SITE_CONF).replace(bind="127.0.0.1:0")
-        with serve_info(SlurmFixtureBackend(fixture), config) as server:
+        with serve_info(partial(collect_cluster_info, fixture), config) as server:
             document = fetch_info(server.url + "/info")
         report = format_arcinfo(parse_execution_targets(document))
         lines = report.splitlines()

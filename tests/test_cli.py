@@ -81,6 +81,34 @@ class TestMockSinfo:
         assert main(["mock-sinfo", "--bare", "--fixture", str(flagged)]) == EXIT_OK
         assert capsys.readouterr().out.splitlines() == ["gpu:1"]
 
+    @pytest.mark.parametrize(
+        "env, expected",
+        [("env.fixture", "gpu:2"), ("", "gpu:3"), (None, "gpu:3")],
+        ids=["env-beats-file", "empty-env-falls-through-to-file", "file-beats-default"],
+    )
+    def test_fixture_precedence(self, tmp_path, capsys, monkeypatch, env, expected):
+        (tmp_path / "env.fixture").write_text("main|1|gpu:2\n")
+        (tmp_path / "file.fixture").write_text("main|1|gpu:3\n")
+        config = tmp_path / "cli.conf"
+        config.write_text(f"fixture = {tmp_path / 'file.fixture'}\n")
+        if env is None:
+            monkeypatch.delenv("GRESPIPE_FIXTURE", raising=False)
+        else:
+            monkeypatch.setenv("GRESPIPE_FIXTURE", str(tmp_path / env) if env else "")
+        assert main(["mock-sinfo", "--bare", "--config", str(config)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [expected]
+
+    @pytest.mark.parametrize(
+        "target, code",
+        [([str(GOLDEN / "infoprovider.out")], EXIT_OK), ([], EXIT_INPUT)],
+        ids=["file-target-skips-config", "no-target-reads-config"],
+    )
+    def test_arcinfo_reads_the_config_only_without_a_target(self, tmp_path, capsys, target, code):
+        # The endpoint is the one setting arcinfo uses, and a target makes it moot.
+        config = tmp_path / "missing.conf"
+        assert main(["arcinfo", *target, "--config", str(config)]) == code
+        assert (str(config) in capsys.readouterr().err) == (code == EXIT_INPUT)
+
 
 class TestInfoprovider:
     def test_prints_rendered_document(self, capsys, kebnekaise_fixture, site_config):
@@ -736,12 +764,13 @@ def test_commands_load_only_the_stdlib_they_use(argv, bare_modules, tmp_path):
 # every module the interpreter has loaded.
 _SERVE_AND_LIST_MODULES = """
 import socket, sys
+from functools import partial
 from pathlib import Path
 from grespipe import data
 from grespipe.infoprovider import SiteConfig, serve_info
-from grespipe.lrms import SlurmFixtureBackend, load_fixture
+from grespipe.lrms import collect_cluster_info, load_fixture
 site = SiteConfig.from_file(data.SITE_CONF).replace(bind="127.0.0.1:0")
-with serve_info(SlurmFixtureBackend(load_fixture(data.KEBNEKAISE_FIXTURE)), site) as server:
+with serve_info(partial(collect_cluster_info, load_fixture(data.KEBNEKAISE_FIXTURE)), site) as server:
     with socket.create_connection(server.server_address[:2], timeout=10) as client:
         client.sendall(b"GET /info HTTP/1.0\\r\\n\\r\\n")
         answer = b"".join(iter(lambda: client.recv(65536), b""))

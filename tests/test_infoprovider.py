@@ -11,6 +11,7 @@ import struct
 import threading
 import time
 import urllib.request
+from functools import partial
 from xml.etree import ElementTree
 from xml.sax import saxutils
 
@@ -32,9 +33,9 @@ from grespipe.infoprovider import (
     serve_info,
     split_bind,
 )
-from grespipe.lrms import ClusterSnapshot, SlurmFixtureBackend, collect_cluster_info, read_gres_info
+from grespipe.lrms import ClusterSnapshot, collect_cluster_info, collect_from_sinfo, read_gres_info
 
-from conftest import PRINTABLE_WIDE_CHARS, RESOURCE_LINES, random_fixture
+from conftest import PRINTABLE_WIDE_CHARS, RESOURCE_LINES, SAMPLE_SINFO, fake_sinfo, random_fixture
 
 SPINE = "Domains/AdminDomain/Services/ComputingService/ComputingManager"
 # An HTTP Date header in IMF-fixdate form (RFC 9110 section 5.6.7).
@@ -279,6 +280,14 @@ class TestServeInfo:
             assert response.headers.get("Content-Type") == "application/xml"
             assert response.read().decode("utf-8") == document
 
+    def test_exec_source_serves_the_sample_document(self, kebnekaise_fixture, site_config, tmp_path):
+        # A fake sinfo printing the sample listing stands in for the scheduler.
+        source = partial(collect_from_sinfo, "kebnekaise", sinfo_path=fake_sinfo(tmp_path, SAMPLE_SINFO))
+        expected = render_glue2_xml(build_computing_service(collect_cluster_info(kebnekaise_fixture), site_config))
+        with serve_info(source, self._config(site_config)) as server:
+            with urllib.request.urlopen(server.url + "/info", timeout=5) as response:
+                assert response.read() == expected.encode("utf-8")
+
     def test_healthz(self, served):
         with urllib.request.urlopen(served[0].url + "/healthz", timeout=5) as response:
             assert response.status == 200
@@ -304,7 +313,7 @@ class TestServeInfo:
 
     def test_exit_stops_every_thread_and_frees_the_port(self, kebnekaise_fixture, site_config):
         before = set(threading.enumerate())
-        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), self._config(site_config)) as server:
+        with serve_info(partial(collect_cluster_info, kebnekaise_fixture), self._config(site_config)) as server:
             with urllib.request.urlopen(server.url + "/info", timeout=5) as response:
                 response.read()
             port = int(server.url.rsplit(":", 1)[1])
@@ -317,7 +326,7 @@ class TestServeInfo:
 
     def test_idle_sockets_hold_at_most_the_pool(self, kebnekaise_fixture, site_config, monkeypatch):
         monkeypatch.setattr(infoprovider, "HANDLER_TIMEOUT_SECONDS", 0.5)
-        backend = SlurmFixtureBackend(kebnekaise_fixture)
+        backend = partial(collect_cluster_info, kebnekaise_fixture)
         before = threading.active_count()
         with serve_info(backend, self._config(site_config)) as server, contextlib.ExitStack() as idle:
             peak = before
@@ -330,7 +339,7 @@ class TestServeInfo:
             # The first idle sockets time out, the rest follow, then the GET is served.
             with urllib.request.urlopen(server.url + "/info", timeout=10) as response:
                 body = response.read()
-        expected = render_glue2_xml(build_computing_service(backend.collect(), site_config))
+        expected = render_glue2_xml(build_computing_service(backend(), site_config))
         assert body.decode("utf-8") == expected
 
     def test_drip_client_is_cut_off_at_the_deadline(self, served, monkeypatch):
@@ -350,7 +359,7 @@ class TestServeInfo:
 
     def test_stop_twice_is_quiet_and_frees_the_port(self, kebnekaise_fixture, site_config, capfd):
         before = set(threading.enumerate())
-        with serve_info(SlurmFixtureBackend(kebnekaise_fixture), self._config(site_config)) as server:
+        with serve_info(partial(collect_cluster_info, kebnekaise_fixture), self._config(site_config)) as server:
             port = server.server_address[1]
             server.stop()
         server.stop()  # the third time, after the exit's
@@ -391,7 +400,7 @@ class TestServeInfo:
         assert "Exception in thread" not in err  # reported by the worker, not by a dying thread
 
     def test_stop_is_prompt_while_every_worker_waits_for_a_connection(self, kebnekaise_fixture, site_config):
-        server = serve_info(SlurmFixtureBackend(kebnekaise_fixture), self._config(site_config))
+        server = serve_info(partial(collect_cluster_info, kebnekaise_fixture), self._config(site_config))
         with urllib.request.urlopen(server.url + "/healthz", timeout=5) as response:
             assert response.read() == b"ok"
         time.sleep(0.1)  # the worker that answered waits again
@@ -507,7 +516,7 @@ class TestServeInfo:
             port = blocker.getsockname()[1]
             config = site_config.replace(bind=f"127.0.0.1:{port}")
             with pytest.raises(BindFailure):
-                serve_info(SlurmFixtureBackend(kebnekaise_fixture), config)
+                serve_info(partial(collect_cluster_info, kebnekaise_fixture), config)
         finally:
             blocker.close()
 

@@ -39,7 +39,7 @@ KEBNEKAISE_ADVERTISED = [parse_gres_expression(line) for line in RESOURCE_LINES]
 
 class TestManifests:
     def test_shipped_kgpu6(self):
-        manifest = load_rte_manifest(data.path("KGPU6.rte"))
+        manifest = load_rte_manifest(data.RTE_DIR / "KGPU6.rte")
         assert manifest.name == "KGPU6"
         assert manifest.node_properties == ("--gres=gpu:k80:1",)
 

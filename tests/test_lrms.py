@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import time
+from functools import partial
 
 import pytest
 
@@ -17,16 +18,15 @@ from grespipe.lrms import (
     InvalidFixture,
     LrmsError,
     NodeClass,
-    SlurmExecBackend,
-    SlurmFixtureBackend,
     UnsupportedFormat,
     collect_cluster_info,
+    collect_from_sinfo,
     load_fixture,
     read_gres_info,
     sinfo_query,
 )
 
-from conftest import PREFIXED_LINES, RESOURCE_LINES, random_fixture
+from conftest import PREFIXED_LINES, RESOURCE_LINES, SAMPLE_SINFO, fake_sinfo, random_fixture
 
 
 @pytest.fixture
@@ -247,54 +247,49 @@ class TestLoadFixture:
 
 class TestBackends:
     def test_fixture_backend(self, kebnekaise_fixture):
-        snapshot = SlurmFixtureBackend(kebnekaise_fixture).collect()
+        snapshot = partial(collect_cluster_info, kebnekaise_fixture)()
         assert list(snapshot.gres) == RESOURCE_LINES
 
     def test_exec_backend(self, tmp_path):
-        script = tmp_path / "fake_sinfo"
-        script.write_text(
-            "#!/bin/sh\n" + "".join(f"echo '{line}'\n" for line in PREFIXED_LINES)
-        )
-        script.chmod(0o755)
-        backend = SlurmExecBackend("kebnekaise", sinfo_path=str(script))
-        snapshot = backend.collect()
+        snapshot = collect_from_sinfo("kebnekaise", sinfo_path=fake_sinfo(tmp_path, SAMPLE_SINFO))
         assert snapshot.cluster_name == "kebnekaise"
         assert list(snapshot.gres) == RESOURCE_LINES
 
     def test_exec_backend_failure(self, tmp_path):
-        script = tmp_path / "broken_sinfo"
-        script.write_text("#!/bin/sh\nexit 3\n")
-        script.chmod(0o755)
+        script = fake_sinfo(tmp_path, "exit 3\n")
         with pytest.raises(LrmsError):
-            SlurmExecBackend("x", sinfo_path=str(script)).collect()
+            collect_from_sinfo("x", sinfo_path=script)
 
     def test_exec_backend_line_without_prefix(self, tmp_path):
-        script = tmp_path / "foreign_sinfo"
-        script.write_text("#!/bin/sh\necho 'gresinfo=gpu:1'\necho 'gpu:k80:4'\n")
-        script.chmod(0o755)
+        script = fake_sinfo(tmp_path, "echo 'gresinfo=gpu:1'\necho 'gpu:k80:4'\n")
         with pytest.raises(LrmsError, match="'gpu:k80:4'"):
-            SlurmExecBackend("x", sinfo_path=str(script)).collect()
+            collect_from_sinfo("x", sinfo_path=script)
 
     def test_exec_backend_skips_blank_and_empty_lines(self, tmp_path):
-        script = tmp_path / "sparse_sinfo"
-        script.write_text("#!/bin/sh\necho ''\necho 'gresinfo='\necho 'gresinfo=gpu:v100:2'\n")
-        script.chmod(0o755)
-        snapshot = SlurmExecBackend("x", sinfo_path=str(script)).collect()
-        assert snapshot.gres == ("gpu:v100:2",)
+        script = fake_sinfo(tmp_path, "echo ''\necho 'gresinfo='\necho 'gresinfo=gpu:v100:2'\n")
+        assert collect_from_sinfo("x", sinfo_path=script).gres == ("gpu:v100:2",)
+
+    def test_exec_backend_output_not_utf8(self, tmp_path):
+        script = fake_sinfo(tmp_path, "printf 'gresinfo=gpu:\\377\\n'\n")
+        with pytest.raises(LrmsError, match=f"{re.escape(script)} printed output that is not UTF-8"):
+            collect_from_sinfo("x", sinfo_path=script)
+
+    def test_exec_backend_failure_with_undecodable_stderr(self, tmp_path):
+        script = fake_sinfo(tmp_path, "printf 'no \\377 here\\n' >&2\nexit 3\n")
+        with pytest.raises(LrmsError, match=f"{re.escape(script)} exited 3: no \ufffd here$"):
+            collect_from_sinfo("x", sinfo_path=script)
 
     def test_exec_backend_missing_binary(self, tmp_path):
         with pytest.raises(LrmsError):
-            SlurmExecBackend("x", sinfo_path=str(tmp_path / "missing")).collect()
+            collect_from_sinfo("x", sinfo_path=str(tmp_path / "missing"))
 
     def test_exec_backend_hung_sinfo_times_out(self, tmp_path, monkeypatch):
         # exec, so that killing the script kills the sleep holding the pipes
-        script = tmp_path / "hung_sinfo"
-        script.write_text("#!/bin/sh\nexec sleep 30\n")
-        script.chmod(0o755)
+        script = fake_sinfo(tmp_path, "exec sleep 30\n")
         monkeypatch.setattr(lrms, "SINFO_TIMEOUT_SECONDS", 0.5)
         started = time.monotonic()
         with pytest.raises(LrmsError):
-            SlurmExecBackend("x", sinfo_path=str(script)).collect()
+            collect_from_sinfo("x", sinfo_path=script)
         assert time.monotonic() - started < 10
 
 
