@@ -15,7 +15,6 @@ runs a real ``sinfo`` for deployment parity.
 from __future__ import annotations
 
 import time
-from functools import cached_property
 from pathlib import Path
 
 from ._record import Record, set_field
@@ -59,6 +58,19 @@ class InvalidFixture(LrmsError):
     """A cluster fixture violates its invariants or cannot be read."""
 
 
+def _check_gres_line(line: str, error: type[LrmsError], label: str, name: str) -> None:
+    # The one rule for a GRES line either source publishes: non-empty, and ``(null)`` or a line the
+    # parser accepts. The refusal, ``error``, starts with ``label`` and ``name``; its text is built only then.
+    if not line:
+        raise error(f"{label} {name!r}: empty gres line")
+    if line == NULL_TOKEN or surely_parses(line):
+        return
+    try:
+        parse_gres_expression(line)
+    except GresParseError as exc:
+        raise error(f"{label} {name!r}: bad gres line {line!r}: {exc}") from exc
+
+
 class NodeClass(Record):
     """One class of identical nodes: partition, node count and GRES line."""
 
@@ -71,17 +83,18 @@ class NodeClass(Record):
 
 
 class ClusterFixture(Record):
-    # No __slots__: the instance __dict__ holds the cached ``_gres``.
+    """A cluster's node classes, checked when built: at least one class, each with a partition name, a
+    positive node count and a GRES line :func:`_check_gres_line` accepts, else :class:`InvalidFixture`.
+
+    ``_gres`` holds the lines ``read_gres_info`` keeps, as the node classes' own strings; it is not a field.
+    """
+
+    __slots__ = ("cluster_name", "node_classes", "_gres")
     __match_args__ = ("cluster_name", "node_classes")
 
     def __init__(self, cluster_name: str, node_classes: tuple[NodeClass, ...]):
         set_field(self, "cluster_name", cluster_name)
         set_field(self, "node_classes", tuple(node_classes))
-
-    @cached_property
-    def _gres(self) -> tuple[str, ...]:
-        # Every check, then the fixture's own lines that ``read_gres_info`` keeps; the fixture is
-        # immutable, so both are done once per fixture, and a failed check caches nothing.
         if not self.node_classes:
             raise InvalidFixture("fixture has no node classes")
         for node_class in self.node_classes:
@@ -91,20 +104,8 @@ class ClusterFixture(Record):
                 raise InvalidFixture(
                     f"partition {node_class.partition!r}: node_count must be positive"
                 )
-            line = node_class.gres_line
-            if not line:
-                raise InvalidFixture(
-                    f"partition {node_class.partition!r}: empty gres line"
-                )
-            if line == NULL_TOKEN or surely_parses(line):
-                continue
-            try:
-                parse_gres_expression(line)
-            except GresParseError as exc:
-                raise InvalidFixture(
-                    f"partition {node_class.partition!r}: bad gres line {line!r}: {exc}"
-                ) from exc
-        return tuple(c.gres_line for c in self.node_classes if NULL_TOKEN not in c.gres_line)
+            _check_gres_line(node_class.gres_line, InvalidFixture, "partition", node_class.partition)
+        set_field(self, "_gres", tuple(c.gres_line for c in self.node_classes if NULL_TOKEN not in c.gres_line))
 
 
 class ClusterSnapshot(Record):
@@ -144,9 +145,7 @@ def load_fixture(path: str | Path, cluster_name: str | None = None) -> ClusterFi
         if count is None:
             raise InvalidFixture(f"{path}:{lineno}: bad node count {count_text!r}")
         node_classes.append(NodeClass(partition, count, gres_line))
-    fixture = ClusterFixture(cluster_name or path.stem, tuple(node_classes))
-    fixture._gres  # raises InvalidFixture unless the fixture is usable
-    return fixture
+    return ClusterFixture(cluster_name or path.stem, tuple(node_classes))
 
 
 def sinfo_query(fixture: ClusterFixture, format: str) -> list[str]:
@@ -160,25 +159,12 @@ def sinfo_query(fixture: ClusterFixture, format: str) -> list[str]:
     return [format.replace("%G", node_class.gres_line) for node_class in fixture.node_classes]
 
 
-def _extract_gres(lines: list[str]) -> list[str]:
-    # Any line containing the null token is dropped (substring match, not
-    # equality), then the key prefix is stripped.
-    extracted = []
-    for line in lines:
-        if NULL_TOKEN in line:
-            continue
-        if not line.startswith(GRES_PREFIX):
-            raise LrmsError(f"line does not carry {GRES_PREFIX!r}: {line!r}")
-        extracted.append(line[len(GRES_PREFIX):])
-    return extracted
-
-
 def read_gres_info(fixture: ClusterFixture) -> list[str]:
     """Return the fixture's GRES expressions with ``(null)`` lines removed.
 
     Duplicate lines are preserved as-is, in fixture order.
     """
-    return _extract_gres(sinfo_query(fixture, SINFO_FORMAT))
+    return [line[len(GRES_PREFIX):] for line in sinfo_query(fixture, SINFO_FORMAT) if NULL_TOKEN not in line]
 
 
 def collect_cluster_info(fixture: ClusterFixture, now: float | None = None) -> ClusterSnapshot:
@@ -186,18 +172,17 @@ def collect_cluster_info(fixture: ClusterFixture, now: float | None = None) -> C
 
     ``now`` overrides the collection timestamp, for deterministic tests.
     """
-    gres = fixture._gres  # raises InvalidFixture unless the fixture is usable
-    return ClusterSnapshot(fixture.cluster_name, gres, int(time.time() if now is None else now))
+    return ClusterSnapshot(fixture.cluster_name, fixture._gres, int(time.time() if now is None else now))
 
 
 def collect_from_sinfo(cluster_name: str, sinfo_path: str = "sinfo") -> ClusterSnapshot:
     """Collect a :class:`ClusterSnapshot` by running ``sinfo -a -h -o "gresinfo=%G"``.
 
     An invocation that outlives :data:`SINFO_TIMEOUT_SECONDS` is killed and
-    reported as :class:`LrmsError`, as is output that is not UTF-8.  Lines
-    yielding an empty value are skipped defensively (a live scheduler reports
-    ``(null)`` for resource-less nodes, but an empty field would violate the
-    snapshot contract).
+    reported as :class:`LrmsError`, as is output that is not UTF-8.  Blank
+    lines are skipped; every other line must carry ``gresinfo=`` and a value
+    a fixture would accept, else it is refused as :class:`LrmsError`; values
+    holding ``(null)`` are then dropped, as from a fixture.
     """
     import subprocess
 
@@ -219,6 +204,14 @@ def collect_from_sinfo(cluster_name: str, sinfo_path: str = "sinfo") -> ClusterS
         stdout = proc.stdout.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LrmsError(f"{sinfo_path} printed output that is not UTF-8: {exc}") from exc
-    lines = [line for line in stdout.splitlines() if line.strip()]
-    gres = [value for value in _extract_gres(lines) if value]
+    gres = []
+    for line in stdout.splitlines():
+        if not line.strip():
+            continue
+        if not line.startswith(GRES_PREFIX):
+            raise LrmsError(f"{sinfo_path}: line does not carry {GRES_PREFIX!r}: {line!r}")
+        value = line[len(GRES_PREFIX):]
+        _check_gres_line(value, LrmsError, sinfo_path, line)
+        if NULL_TOKEN not in value:  # a substring match, not equality, as for a fixture
+            gres.append(value)
     return ClusterSnapshot(cluster_name, tuple(gres), int(time.time()))

@@ -2,6 +2,7 @@
 
 import random
 import re
+import shlex
 import sys
 import time
 from functools import partial
@@ -102,18 +103,16 @@ class TestCollect:
         assert snapshot.gres == ()
 
     def test_malformed_gres_line_rejected(self):
-        fixture = ClusterFixture("bad", (NodeClass("a", 1, "gpu:a:b:c:1"),))
         with pytest.raises(InvalidFixture):
-            collect_cluster_info(fixture)
+            collect_cluster_info(ClusterFixture("bad", (NodeClass("a", 1, "gpu:a:b:c:1"),)))
 
     def test_no_node_classes_rejected(self):
         with pytest.raises(InvalidFixture):
             collect_cluster_info(ClusterFixture("none", ()))
 
     def test_nonpositive_node_count_rejected(self):
-        fixture = ClusterFixture("bad", (NodeClass("a", 0, "gpu:1"),))
         with pytest.raises(InvalidFixture):
-            collect_cluster_info(fixture)
+            collect_cluster_info(ClusterFixture("bad", (NodeClass("a", 0, "gpu:1"),)))
 
     def test_snapshot_rejects_null_entries(self):
         with pytest.raises(ValueError):
@@ -153,11 +152,11 @@ class TestCollect:
             lines = [node_class.gres_line for node_class in fixture.node_classes]
             assert all(any(value is line for line in lines) for value in gres)
 
-    def test_invalid_fixture_rejected_on_every_collect(self, parse_calls):
-        fixture = ClusterFixture("bad", (NodeClass("a", 1, "gpu:1"), NodeClass("b", 1, "gpu:")))
+    def test_invalid_fixture_rejected_on_every_construction(self, parse_calls):
+        node_classes = (NodeClass("a", 1, "gpu:1"), NodeClass("b", 1, "gpu:"))
         for attempt in range(1, 4):
             with pytest.raises(InvalidFixture, match="bad gres line 'gpu:'"):
-                collect_cluster_info(fixture)
+                ClusterFixture("bad", node_classes)
             assert parse_calls == ["gpu:"] * attempt
 
 
@@ -262,12 +261,48 @@ class TestBackends:
 
     def test_exec_backend_line_without_prefix(self, tmp_path):
         script = fake_sinfo(tmp_path, "echo 'gresinfo=gpu:1'\necho 'gpu:k80:4'\n")
-        with pytest.raises(LrmsError, match="'gpu:k80:4'"):
+        with pytest.raises(LrmsError, match=f"^{re.escape(script)}: line does not carry 'gresinfo=': 'gpu:k80:4'$"):
             collect_from_sinfo("x", sinfo_path=script)
 
-    def test_exec_backend_skips_blank_and_empty_lines(self, tmp_path):
-        script = fake_sinfo(tmp_path, "echo ''\necho 'gresinfo='\necho 'gresinfo=gpu:v100:2'\n")
+    def test_exec_backend_bare_null_without_prefix(self, tmp_path):
+        script = fake_sinfo(tmp_path, "echo 'gresinfo=gpu:1'\necho '(null)'\n")
+        with pytest.raises(LrmsError, match=rf"^{re.escape(script)}: line does not carry 'gresinfo=': '\(null\)'$"):
+            collect_from_sinfo("x", sinfo_path=script)
+
+    def test_exec_backend_skips_blank_lines(self, tmp_path):
+        script = fake_sinfo(tmp_path, "echo ''\necho ' \t'\necho 'gresinfo=gpu:v100:2'\n")
         assert collect_from_sinfo("x", sinfo_path=script).gres == ("gpu:v100:2",)
+
+    def test_both_sources_give_equal_snapshots(self, tmp_path, kebnekaise_fixture):
+        rng = random.Random(2030)
+        for fixture in [kebnekaise_fixture] + [random_fixture(rng) for _ in range(20)]:
+            listing = " ".join(shlex.quote(line) for line in sinfo_query(fixture, SINFO_FORMAT))
+            script = fake_sinfo(tmp_path, f"printf '%s\\n' {listing}\n")
+            from_sinfo = collect_from_sinfo(fixture.cluster_name, sinfo_path=script)
+            assert from_sinfo.gres == collect_cluster_info(fixture).gres
+
+    @pytest.mark.parametrize(
+        "value, fault",
+        [
+            ("gpu:a:b:c:1", "bad gres line 'gpu:a:b:c:1': segment 0: 5 fields in 'gpu:a:b:c:1'"),
+            ("gpu:", "bad gres line 'gpu:': segment 0: empty field in 'gpu:'"),
+            ("gpu:v100:2(S:0-1)", "bad gres line 'gpu:v100:2(S:0-1)': segment 0: "),
+            ("gpu:2(S:0)", "bad gres line 'gpu:2(S:0)': segment 0: "),
+            ("", "empty gres line"),
+        ],
+        ids=["five-fields", "empty-field", "affinity-range", "affinity-count", "empty"],
+    )
+    def test_both_sources_refuse_the_same_lines(self, tmp_path, value, fault):
+        path = tmp_path / "bad.fixture"
+        path.write_text(f"main|1|gpu:1\nbatch|2|{value}\n")
+        with pytest.raises(InvalidFixture, match=f"^partition 'batch': {re.escape(fault)}") as from_fixture:
+            load_fixture(path)
+        script = fake_sinfo(tmp_path, f"echo 'gresinfo=gpu:1'\necho 'gresinfo={value}'\n")
+        named = f"{script} 'gresinfo={value}': "
+        with pytest.raises(LrmsError, match=f"^{re.escape(named + fault)}") as from_sinfo:
+            collect_from_sinfo("x", sinfo_path=script)
+        assert type(from_sinfo.value) is LrmsError
+        assert str(from_sinfo.value).removeprefix(named) == str(from_fixture.value).removeprefix("partition 'batch': ")
 
     def test_exec_backend_output_not_utf8(self, tmp_path):
         script = fake_sinfo(tmp_path, "printf 'gresinfo=gpu:\\377\\n'\n")

@@ -4,11 +4,15 @@ its field values within its own class only, and shown by the ``repr`` that
 
 import copy
 import dataclasses
+import importlib
 import pickle
+import pkgutil
 import threading
 
 import pytest
 
+import grespipe
+from grespipe._record import Record
 from grespipe.gres import GresEntry, GresList, MalformedCount
 from grespipe.infoprovider import (
     BadConfig,
@@ -18,7 +22,7 @@ from grespipe.infoprovider import (
     render_glue2_xml,
 )
 from grespipe.jobsubmit import JobOptions, RteManifest, SubmitScript
-from grespipe.lrms import ClusterFixture, ClusterSnapshot, NodeClass
+from grespipe.lrms import ClusterFixture, ClusterSnapshot, InvalidFixture, NodeClass
 from grespipe.xrsl import JobDescription
 
 _JOB = (
@@ -162,6 +166,23 @@ def test_record_repr(record):
     assert repr(make()) == expected_repr
 
 
+def test_record_keeps_no_instance_dict(record):
+    make, _fields, _repr = record
+    assert not hasattr(make(), "__dict__")
+
+
+def test_every_record_in_the_package_is_in_the_table():
+    for module in pkgutil.iter_modules(grespipe.__path__, "grespipe."):
+        importlib.import_module(module.name)
+    found, pending = set(), [Record]
+    while pending:
+        for subclass in pending.pop().__subclasses__():
+            if subclass.__module__.startswith("grespipe."):
+                found.add(subclass.__qualname__)
+            pending.append(subclass)
+    assert found == set(RECORDS)
+
+
 def test_record_copies_and_pickles(record):
     make, _fields, _repr = record
     built = make()
@@ -178,6 +199,13 @@ def test_record_copies_and_pickles(record):
         (lambda: GresEntry(""), ValueError,
          "GresEntry(name='', subtype=None, count=1, count_literal=None) does not parse back from ''"),
         (lambda: GresEntry("gpu", "a:b"), MalformedCount, "segment 0: bad count 'b' in 'gpu:a:b'"),
+        (lambda: ClusterFixture("c", ()), InvalidFixture, "fixture has no node classes"),
+        (lambda: ClusterFixture("c", (NodeClass("gpu", 1, "gpu:1"), NodeClass("", 1, "gpu:1"))), InvalidFixture,
+         "node class with empty partition name"),
+        (lambda: ClusterFixture("c", (NodeClass("gpu", 0, "gpu:1"),)), InvalidFixture,
+         "partition 'gpu': node_count must be positive"),
+        (lambda: ClusterFixture("c", (NodeClass("gpu", 1, "(null)"), NodeClass("mps", 1, "gpu:"))), InvalidFixture,
+         "partition 'mps': bad gres line 'gpu:': segment 0: empty field in 'gpu:'"),
         (lambda: ClusterSnapshot("c", ("gpu:1", "(null)", ""), 0), ValueError, "snapshot must not contain '(null)'"),
         (lambda: ClusterSnapshot("c", ("", "(null)"), 0), ValueError, "snapshot must not contain ''"),
         (lambda: RteManifest("bad name", ("",)), ValueError, "bad RTE name: 'bad name'"),
@@ -202,7 +230,8 @@ def test_record_copies_and_pickles(record):
          "manager_name must be non-empty"),
     ],
     ids=[
-        "entry-count", "entry-empty", "entry-grammar", "snapshot-null", "snapshot-empty", "rte-name",
+        "entry-count", "entry-empty", "entry-grammar", "fixture-empty", "fixture-partition", "fixture-count",
+        "fixture-gres", "snapshot-null", "snapshot-empty", "rte-name",
         "rte-newline", "rte-empty", "options-empty", "script-prefix", "script-newline", "job-executable",
         "job-count", "site-keys", "site-interval", "site-bind", "manager-name", "manager-name-render",
     ],
