@@ -41,6 +41,47 @@ SPINE = "Domains/AdminDomain/Services/ComputingService/ComputingManager"
 # An HTTP Date header in IMF-fixdate form (RFC 9110 section 5.6.7).
 _IMF_FIXDATE = rb"Date: (Mon|Tue|Wed|Thu|Fri|Sat|Sun), \d\d (Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) \d{4} \d\d:\d\d:\d\d GMT"
 
+# Request heads, each with the status the endpoint answers it with, and the ids of the cases.
+REQUEST_EDGE_CASES = dict(
+    argvalues=[
+        (b"GET /info HTTP/1.0\r\n\r\n", b"200"),
+        (b"GET /info HTTP/1.1\r\nHost: x\r\n\r\n", b"200"),
+        (b"GET /info?since=0 HTTP/1.1\r\n\r\n", b"200"),
+        (b"GET /info HTTP/1.1\nHost: x\n\n", b"200"),
+        (b"GET /nope HTTP/1.1\r\n\r\n", b"404"),
+        (b"GET http://127.0.0.1/info HTTP/1.1\r\n\r\n", b"404"),
+        (b"HEAD /info HTTP/1.0\r\n\r\n", b"501"),
+        (b"POST /info HTTP/1.0\r\nContent-Length: 2\r\n\r\nhi", b"501"),
+        (b"GET /" + b"a" * 65536 + b" HTTP/1.0\r\n\r\n", b"414"),
+        # Lines of exactly 65,536 bytes with their CRLF are within the limit.
+        (b"GET /" + b"a" * (65536 - 16) + b" HTTP/1.0\r\n\r\n", b"404"),
+        (b"GET /info HTTP/1.0\r\nX: " + b"a" * (65536 - 5) + b"\r\n\r\n", b"200"),
+        (b"GET /info HTTP/1.0\r\nX: " + b"a" * 65536 + b"\r\n\r\n", b"431"),
+        # http.server counts the blank line that ends the head among its 100 lines.
+        (b"GET /info HTTP/1.0\r\n" + b"X: a\r\n" * 99 + b"\r\n", b"200"),
+        (b"GET /info HTTP/1.0\r\n" + b"X: a\r\n" * 100 + b"\r\n", b"431"),
+        (b"GET /info HTTP/1.0\r\n" + b"X: a\r\n" * 101 + b"\r\n", b"431"),
+        (b"GET /info\r\n", b"400"),
+        (b"hello\r\n", b"400"),
+        (b"GET /info HTTP/1.x\r\n\r\n", b"400"),
+        # HTTP/ DIGIT . DIGIT (RFC 9112 section 2.3): any 1.x is served, another major version gets 505.
+        (b"GET /info HTTP/2.0\r\n\r\n", b"505"),
+        (b"GET /info HTTP/1.2\r\n\r\n", b"200"),
+        (b"GET /info HTTP/3.0\r\n\r\n", b"505"),
+        (b"GET /info HTTP/01.0\r\n\r\n", b"400"),
+        (b"GET /info HTTP/1.10\r\n\r\n", b"400"),
+        # One empty line before the request line is skipped (RFC 9112 section 2.2).
+        (b"\r\nGET /info HTTP/1.0\r\n\r\n", b"200"),
+        (b"GET //info HTTP/1.0\r\n\r\n", b"200"),
+    ],
+    ids=[
+        "http-1.0", "http-1.1", "query", "bare-lf", "unknown-path", "absolute-form", "head", "post",
+        "long-request-line", "request-line-65536", "header-65536", "long-header", "99-headers", "100-headers",
+        "101-headers", "http-0.9", "hello", "http-1.x", "http-2.0", "http-1.2", "http-3.0", "http-01.0",
+        "http-1.10", "leading-crlf", "double-slash",
+    ],
+)
+
 
 def _resources_of(document: str) -> list[str]:
     root = ElementTree.fromstring(document)
@@ -449,46 +490,7 @@ class TestServeInfo:
                 held.enter_context(socket.create_connection(served[0].server_address[:2], timeout=5))
                 assert time.monotonic() - start < 0.5
 
-    @pytest.mark.parametrize(
-        "request_bytes, status",
-        [
-            (b"GET /info HTTP/1.0\r\n\r\n", b"200"),
-            (b"GET /info HTTP/1.1\r\nHost: x\r\n\r\n", b"200"),
-            (b"GET /info?since=0 HTTP/1.1\r\n\r\n", b"200"),
-            (b"GET /info HTTP/1.1\nHost: x\n\n", b"200"),
-            (b"GET /nope HTTP/1.1\r\n\r\n", b"404"),
-            (b"GET http://127.0.0.1/info HTTP/1.1\r\n\r\n", b"404"),
-            (b"HEAD /info HTTP/1.0\r\n\r\n", b"501"),
-            (b"POST /info HTTP/1.0\r\nContent-Length: 2\r\n\r\nhi", b"501"),
-            (b"GET /" + b"a" * 65536 + b" HTTP/1.0\r\n\r\n", b"414"),
-            # Lines of exactly 65,536 bytes with their CRLF are within the limit.
-            (b"GET /" + b"a" * (65536 - 16) + b" HTTP/1.0\r\n\r\n", b"404"),
-            (b"GET /info HTTP/1.0\r\nX: " + b"a" * (65536 - 5) + b"\r\n\r\n", b"200"),
-            (b"GET /info HTTP/1.0\r\nX: " + b"a" * 65536 + b"\r\n\r\n", b"431"),
-            # http.server counts the blank line that ends the head among its 100 lines.
-            (b"GET /info HTTP/1.0\r\n" + b"X: a\r\n" * 99 + b"\r\n", b"200"),
-            (b"GET /info HTTP/1.0\r\n" + b"X: a\r\n" * 100 + b"\r\n", b"431"),
-            (b"GET /info HTTP/1.0\r\n" + b"X: a\r\n" * 101 + b"\r\n", b"431"),
-            (b"GET /info\r\n", b"400"),
-            (b"hello\r\n", b"400"),
-            (b"GET /info HTTP/1.x\r\n\r\n", b"400"),
-            # HTTP/ DIGIT . DIGIT (RFC 9112 section 2.3): any 1.x is served, another major version gets 505.
-            (b"GET /info HTTP/2.0\r\n\r\n", b"505"),
-            (b"GET /info HTTP/1.2\r\n\r\n", b"200"),
-            (b"GET /info HTTP/3.0\r\n\r\n", b"505"),
-            (b"GET /info HTTP/01.0\r\n\r\n", b"400"),
-            (b"GET /info HTTP/1.10\r\n\r\n", b"400"),
-            # One empty line before the request line is skipped (RFC 9112 section 2.2).
-            (b"\r\nGET /info HTTP/1.0\r\n\r\n", b"200"),
-            (b"GET //info HTTP/1.0\r\n\r\n", b"200"),
-        ],
-        ids=[
-            "http-1.0", "http-1.1", "query", "bare-lf", "unknown-path", "absolute-form", "head", "post",
-            "long-request-line", "request-line-65536", "header-65536", "long-header", "99-headers", "100-headers",
-            "101-headers", "http-0.9", "hello", "http-1.x", "http-2.0", "http-1.2", "http-3.0", "http-01.0",
-            "http-1.10", "leading-crlf", "double-slash",
-        ],
-    )
+    @pytest.mark.parametrize("request_bytes, status", **REQUEST_EDGE_CASES)
     def test_request_edge_cases(self, request_bytes, status, served, monkeypatch):
         monkeypatch.setattr(infoprovider, "HANDLER_TIMEOUT_SECONDS", 1.0)
         with socket.create_connection(served[0].server_address[:2], timeout=5) as client:
@@ -506,6 +508,36 @@ class TestServeInfo:
         names = {line.partition(b":")[0].lower() for line in header_lines}
         assert {b"date", b"content-type", b"content-length"} <= names
         assert any(re.fullmatch(_IMF_FIXDATE, line) for line in header_lines), header_lines
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "head_start, status",
+        [
+            (b"GET /info HTTP/2.0\r\n", b"505"),
+            (b"hello\r\n", b"400"),
+            (b"GET /" + b"a" * (65537 - 16) + b" HTTP/1.0\r\n", b"414"),
+            (b"GET /info HTTP/1.0\r\nX: " + b"a" * (65537 - 5) + b"\r\n", b"431"),
+        ],
+        ids=["http-2.0", "hello", "request-line-65537", "header-65537"],
+    )
+    def test_bad_head_start_is_answered_while_the_headers_drip(self, head_start, status, served, monkeypatch):
+        # The request line, and a header line over the limit, are answered as read: not at the deadline.
+        monkeypatch.setattr(infoprovider, "HANDLER_TIMEOUT_SECONDS", 3.0)
+        with socket.create_connection(served[0].server_address[:2], timeout=5) as client:
+            start = time.monotonic()
+            client.sendall(head_start)
+            answer = b""
+            try:
+                for byte in b"X-Drip: " + b"a" * 40:  # one byte every 0.1 s until the answer comes
+                    if select.select([client], [], [], 0.1)[0]:
+                        break
+                    client.send(bytes([byte]))
+                while chunk := client.recv(65536):
+                    answer += chunk
+            except ConnectionResetError:  # closed with the drip unread
+                pass
+            elapsed = time.monotonic() - start
+        assert answer.startswith(b"HTTP/1.0 " + status + b" "), answer[:200]
         assert elapsed < 1.0
 
     def test_bind_failure(self, kebnekaise_fixture, site_config):
