@@ -12,10 +12,9 @@ import threading
 import time
 from collections.abc import Callable
 from http import HTTPStatus
-from io import BufferedIOBase
 
 from . import infoprovider
-from ._wire import MAX_LINE_BYTES, DeadlineSocket, header_lines, http_major
+from ._wire import MAX_LINE_BYTES, DeadlineSocket, head_ended, http_major
 from .lrms import ClusterSnapshot
 
 # Connections served at once, more wait in the listen backlog: the 3 exchanges that
@@ -23,13 +22,10 @@ from .lrms import ClusterSnapshot
 WORKERS = 4
 
 
-def _error(status: HTTPStatus) -> tuple[HTTPStatus, str, bytes]:
-    return status, "text/plain", status.phrase.encode("ascii")
-
-
 class InfoServer(contextlib.AbstractContextManager):
-    """HTTP info endpoint answering ``GET /info`` with the rendered document and ``GET /healthz``
-    with ``ok``, in HTTP/1.0, from :data:`WORKERS` threads, running once constructed.
+    """HTTP info endpoint answering ``GET /info`` with the rendered document and ``GET /healthz`` with ``ok``, in
+    HTTP/1.0, from :data:`WORKERS` threads, running once constructed.  A worker reads each request head a line at a
+    time and sends the answer, which :meth:`_answer` decides from the lines read so far and a time, with no I/O.
 
     The served document is an immutable bytes snapshot swapped atomically by
     a single refresher thread, so concurrent readers never observe a torn mix
@@ -71,36 +67,44 @@ class InfoServer(contextlib.AbstractContextManager):
 
     def _exchange(self, sock: DeadlineSocket) -> None:
         with sock.makefile("rb") as stream:
-            request_line = stream.readline(MAX_LINE_BYTES + 1)
-            if request_line in (b"\r\n", b"\n"):  # one empty line before the request is skipped (RFC 9112 section 2.2)
-                request_line = stream.readline(MAX_LINE_BYTES + 1)
-            if not request_line:  # the client closed without a request: no answer
+            lines = [stream.readline(MAX_LINE_BYTES + 1)]
+            if lines[0] in (b"\r\n", b"\n"):  # one empty line before the request is skipped (RFC 9112 section 2.2)
+                lines = [stream.readline(MAX_LINE_BYTES + 1)]
+            if not lines[0]:  # the client closed without a request: no answer
                 return
-            status, content_type, body = self._answer(request_line, stream)
-        day, month, mday, clock, year = time.asctime(time.gmtime()).split()  # English names in any locale
-        date = f"{day}, {mday.zfill(2)} {month} {year} {clock} GMT"  # IMF-fixdate, RFC 9110 section 5.6.7
-        head = f"HTTP/1.0 {status.value} {status.phrase}\r\nDate: {date}\r\nContent-Type: {content_type}\r\n"
-        sock.sendall(f"{head}Content-Length: {len(body)}\r\n\r\n".encode("ascii"))
+            while (answer := self._answer(lines, time.time())) is None:
+                lines.append(stream.readline(MAX_LINE_BYTES + 1))
+        head, body = answer
+        sock.sendall(head)
         sock.sendall(body)  # the served bytes themselves, not a copy
 
-    def _answer(self, request_line: bytes, stream: BufferedIOBase) -> tuple[HTTPStatus, str, bytes]:
-        if len(request_line) > MAX_LINE_BYTES:
-            return _error(HTTPStatus.REQUEST_URI_TOO_LONG)
-        words = request_line.split()
+    def _answer(self, lines: list[bytes], now: float) -> tuple[bytes, bytes] | None:
+        """The response head, dated ``now``, and body for a request head whose ``lines`` were read so far, each by
+        ``readline(MAX_LINE_BYTES + 1)``; ``None`` while the header lines after a good request line go on."""
+        words = lines[0].split()
         major = http_major(words[2]) if len(words) == 3 else None
-        if major != 1:  # any HTTP/1.x is served (RFC 9110 section 2.5), another major version refused
-            return _error(HTTPStatus.BAD_REQUEST if major is None else HTTPStatus.HTTP_VERSION_NOT_SUPPORTED)
-        if header_lines(stream) is None:  # a line too long, or too many
-            return _error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE)
-        if words[0] != b"GET":
-            return _error(HTTPStatus.NOT_IMPLEMENTED)
-        path = words[1].split(b"?", 1)[0]
+        path = words[1].split(b"?", 1)[0] if major == 1 else b""
         path = b"/" + path.lstrip(b"/") if path.startswith(b"//") else path  # as http.server reads //info
-        if path == b"/info":
-            return HTTPStatus.OK, "application/xml", self.document
-        if path == b"/healthz":
-            return HTTPStatus.OK, "text/plain", b"ok"
-        return _error(HTTPStatus.NOT_FOUND)
+        status, content_type, body = HTTPStatus.OK, "text/plain", b"ok"  # the answer to /healthz
+        if len(lines[0]) > MAX_LINE_BYTES:
+            status = HTTPStatus.REQUEST_URI_TOO_LONG
+        elif major != 1:  # any HTTP/1.x is served (RFC 9110 section 2.5), another major version refused
+            status = HTTPStatus.BAD_REQUEST if major is None else HTTPStatus.HTTP_VERSION_NOT_SUPPORTED
+        elif not (ended := head_ended(lines)):
+            if ended is False:
+                return None
+            status = HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE  # a line too long, or too many
+        elif words[0] != b"GET":
+            status = HTTPStatus.NOT_IMPLEMENTED
+        elif path == b"/info":
+            content_type, body = "application/xml", self.document
+        elif path != b"/healthz":
+            status = HTTPStatus.NOT_FOUND
+        body = body if status == HTTPStatus.OK else status.phrase.encode("ascii")  # an error's body is its phrase
+        day, month, mday, clock, year = time.asctime(time.gmtime(now)).split()  # English names in any locale
+        date = f"{day}, {mday.zfill(2)} {month} {year} {clock} GMT"  # IMF-fixdate, RFC 9110 section 5.6.7
+        head = f"HTTP/1.0 {status.value} {status.phrase}\r\nDate: {date}\r\nContent-Type: {content_type}\r\n"
+        return f"{head}Content-Length: {len(body)}\r\n\r\n".encode("ascii"), body
 
     def _refresh(self) -> None:
         """Collect a snapshot; build and render it only when its gres differ

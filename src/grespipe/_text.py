@@ -1,7 +1,7 @@
 """Readers shared by the CLI, the XRSL parser, the client and the fixture, config and manifest
 loaders: every input file and fetched body is read here, one ``read1`` at a time, so a socket
-read waits no longer than its deadline allows.  HTTP header lines are read by ``_wire.header_lines``,
-and ``lrms`` reads ``sinfo``'s output."""
+read waits no longer than its deadline allows.  Each HTTP end reads a head a line at a time, up
+to where ``_wire.head_ended`` says it ends, and ``lrms`` reads ``sinfo``'s output."""
 
 from __future__ import annotations
 

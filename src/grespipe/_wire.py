@@ -1,11 +1,10 @@
-"""The HTTP version rule, the reader of header lines and the socket whose exchange ends by one deadline, shared by
-the info endpoint (``_httpd``) and :func:`grespipe.client.fetch_info`, which import this module only when they run."""
+"""The HTTP version rule, the head-end rule and the socket whose exchange ends by one deadline, shared by the info
+endpoint (``_httpd``) and :func:`grespipe.client.fetch_info`, which import this module only when they run."""
 
 from __future__ import annotations
 
 import socket
 import time
-from io import BufferedIOBase
 
 MAX_LINE_BYTES = 65536  # http.server's and http.client's limit on the bytes in any line of a head
 MAX_HEADERS = 100  # their limit on the lines after the first line of a head, the blank one included
@@ -19,15 +18,11 @@ def http_major(version: bytes) -> int | None:
     return None
 
 
-def header_lines(stream: BufferedIOBase) -> list[bytes] | None:
-    """Return the lines after a head's first line, up to the blank one (bare LF too) or the end of ``stream``;
-    ``None`` once a line passes :data:`MAX_LINE_BYTES` or :data:`MAX_HEADERS` lines hold no end of the head."""
-    lines = []
-    while len(lines) < MAX_HEADERS and len(line := stream.readline(MAX_LINE_BYTES + 1)) <= MAX_LINE_BYTES:
-        if line in (b"\r\n", b"\n", b""):
-            return lines
-        lines.append(line)
-    return None
+def head_ended(lines: list[bytes]) -> bool | None:
+    """Whether a head read so far as ``lines`` has ended at a blank line (bare LF too) or the end of the stream after
+    its first line; ``None`` once a line passes :data:`MAX_LINE_BYTES` or :data:`MAX_HEADERS` after it hold no end."""
+    ended = len(lines) > 1 and lines[-1] in (b"\r\n", b"\n", b"")
+    return None if len(lines[-1]) > MAX_LINE_BYTES or not ended and len(lines) > MAX_HEADERS else ended
 
 
 class DeadlineSocket(socket.socket):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import gc
 from _thread import allocate_lock
-from io import BufferedIOBase
 
 from ._text import ascii_int, read_bounded
 from .infoprovider import ComputingManagerRecord, ComputingServiceRecord
@@ -182,7 +181,7 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
     import time
     from urllib.parse import urlsplit
 
-    from ._wire import DeadlineSocket
+    from ._wire import MAX_LINE_BYTES, DeadlineSocket
 
     deadline = time.monotonic() + timeout
     try:
@@ -206,7 +205,10 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
         with DeadlineSocket.connect_to(parts.hostname or "", 80 if port is None else port, deadline) as sock:
             sock.sendall(request.encode("ascii"))
             with sock.makefile("rb") as stream:
-                status, content_type, length = _read_head(stream, url)
+                lines = [stream.readline(MAX_LINE_BYTES + 1)]
+                while (head := _read_head(lines, url)) is None:
+                    lines.append(stream.readline(MAX_LINE_BYTES + 1))
+                status, content_type, length = head
                 if status != 200:
                     raise BadStatus(status)
                 mime = content_type.split(";", 1)[0].strip().lower()
@@ -222,22 +224,22 @@ def fetch_info(url: str, timeout: float = 10.0) -> str:
     return body.decode("utf-8")
 
 
-def _read_head(stream: BufferedIOBase, url: str) -> tuple[int, str, int | None]:
-    """Read a response head within the endpoint's limits; return its status, ``Content-Type``
-    (``""`` if none) and ``Content-Length`` (``None`` if none, so the body ends with the stream)."""
-    from ._wire import MAX_HEADERS, MAX_LINE_BYTES, header_lines, http_major
+def _read_head(lines: list[bytes], url: str) -> tuple[int, str, int | None] | None:
+    """The status, ``Content-Type`` (``""`` if none) and ``Content-Length`` (``None`` if none: the body ends with the
+    stream) of a response head from the ``lines`` read so far, within the endpoint's limits; ``None`` until it ends."""
+    from ._wire import MAX_HEADERS, MAX_LINE_BYTES, head_ended, http_major
 
-    line = stream.readline(MAX_LINE_BYTES + 1)
-    version, status = (line.split(None, 2) + [b"", b""])[:2]
-    if len(line) > MAX_LINE_BYTES or http_major(version) != 1 or not (
+    version, status = (lines[0].split(None, 2) + [b"", b""])[:2]
+    if len(lines[0]) > MAX_LINE_BYTES or http_major(version) != 1 or not (
         len(status) == 3 and status.isdigit()
     ):
-        raise Unreachable(f"cannot fetch {url}: not an HTTP/1.x status line: {line[:80]!r}")
-    lines = header_lines(stream)
-    if lines is None:
+        raise Unreachable(f"cannot fetch {url}: not an HTTP/1.x status line: {lines[0][:80]!r}")
+    if (ended := head_ended(lines)) is None:
         raise Unreachable(f"cannot fetch {url}: head over {MAX_HEADERS} lines, or a line over {MAX_LINE_BYTES} bytes")
+    if not ended:
+        return None
     content_type, length = "", None
-    for line in lines:
+    for line in lines[1:]:
         name, _, value = line.partition(b":")
         name, value = name.lower(), value.strip().decode("latin-1")
         if name == b"content-type":

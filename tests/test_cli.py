@@ -1,5 +1,6 @@
 """Tests for the command-line drivers and their exit-code contract."""
 
+import ast
 import errno
 import os
 import pyexpat
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import grespipe
 from grespipe import _text, data
 from grespipe.cli import EXIT_ENV, EXIT_INPUT, EXIT_OK, EXIT_REFUSED, CliInputError, main
 from grespipe.infoprovider import build_computing_service, render_glue2_xml
@@ -803,3 +805,114 @@ def test_fetching_loads_no_http_email_or_ssl_stack(argv, expected, bare_modules,
     assert code == expected
     new = loaded - bare_modules
     assert sorted(name for name in new if name.split(".")[0] in _HTTP_STACKS or name in _HTTP_STACKS) == []
+
+
+# Runs every command of the pipeline in one process under a profiler that also follows the endpoint's threads:
+# mock-sinfo with and without its prefix, infoprovider, arcinfo on the document it wrote, an arcsub --match
+# whose job matches, so that its script is rendered and spooled, and one fetch from a served endpoint.  Prints
+# the file, first line and name of every function of the package that was called.
+_TRACE_CALLS = """
+import contextlib, io, os, sys, threading
+from functools import partial
+from pathlib import Path
+import grespipe
+
+package = os.path.dirname(grespipe.__file__) + os.sep
+called = set()
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(package):
+        called.add((os.path.relpath(code.co_filename, package), code.co_firstlineno, code.co_name))
+
+sys.setprofile(profile)
+threading.setprofile(profile)
+from grespipe import data
+from grespipe.cli import main
+from grespipe.client import fetch_info
+from grespipe.infoprovider import SiteConfig, serve_info
+from grespipe.lrms import collect_cluster_info, load_fixture
+
+work = Path(sys.argv[1])
+(work / "rtes").mkdir()
+(work / "rtes" / "KGPU6.rte").write_text("name = KGPU6\\nnode_properties = --gres=gpu:k80ce:1\\n")
+document = work / "info.xml"
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["mock-sinfo"]), main(["mock-sinfo", "--bare"])]
+with open(document, "w") as out, contextlib.redirect_stdout(out):
+    codes.append(main(["infoprovider"]))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(main(["arcinfo", str(document)]))
+    argv = ["arcsub", str(data.HELLO_XRSL), "--rte-dir", str(work / "rtes"), "--spool-dir", str(work / "spool")]
+    codes.append(main([*argv, "--match", str(document)]))
+site = SiteConfig.from_file(data.SITE_CONF).replace(bind="127.0.0.1:0")
+with serve_info(partial(collect_cluster_info, load_fixture(data.KEBNEKAISE_FIXTURE)), site) as server:
+    fetched = fetch_info(server.url + "/info")
+sys.setprofile(None)
+assert codes == [0] * 5, codes
+assert fetched == document.read_text()
+assert len(list((work / "spool").glob("*.sbatch"))) == 1
+for path, line, name in sorted(called):
+    print(path, line, name)
+"""
+# Functions of the package that no command of the pipeline calls, each with why it stays.  A function the
+# traced run does not call must have a row here, and a row whose function it calls, or that is gone, fails.
+_NEVER_CALLED = {
+    "_record.Record.__eq__": "tested API: records compare as @dataclass(frozen=True) gives them",
+    "_record.Record.__hash__": "tested API: records hash as @dataclass(frozen=True) gives them",
+    "_record.Record.__repr__": "tested API: records print as @dataclass(frozen=True) gives them",
+    "_record.Record.__reduce__": "tested API: records copy and pickle",
+    "_record.Record.__setattr__": "tested API: FrozenInstanceError on every record",
+    "_record.Record.__delattr__": "tested API: FrozenInstanceError on every record",
+    "_record._refuse": "tested API: FrozenInstanceError on every record",
+    "gres.GresEntry.__init__": "tested API: the parser builds its entries without this check",
+    "gres.GresEntry.__str__": "tested API: render_gres_expression",
+    "gres.GresEntry.count_suffix": "tested API: tests/test_gres.py",
+    "gres.GresList.__len__": "tested API: tests/test_gres.py",
+    "gres.GresList.__str__": "tested API: render_gres_expression",
+    "gres.expand_count": "tested API: floor tests",
+    "gres.render_gres_expression": "tested API: floor tests",
+    "gres.total_capacity": "tested API: floor tests",
+    "lrms.read_gres_info": "tested API: the round-trip reference for ClusterFixture._gres",
+    "lrms.collect_from_sinfo": "other source: runs a real sinfo, which the sample pipeline emulates",
+    "cli._fail": "error path: a command that exits non-zero",
+    "client.BadStatus.__init__": "error path: a non-200 answer",
+    "gres.GresParseError.__init__": "error path: a GRES expression that does not parse",
+    "jobsubmit.UnknownRte.__init__": "error path: a job naming a runtime environment that is not installed",
+    "xrsl.XrslSyntaxError.__init__": "error path: a job description that does not parse",
+}
+
+
+def _package_functions() -> list[tuple[str, int, int, str, str]]:
+    """(file, first line, def line, name, dotted name) of every function of the package, nested ones included."""
+    package = Path(grespipe.__file__).parent
+    functions = []
+
+    def walk(node: ast.AST, path: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [decorator.lineno for decorator in child.decorator_list])
+                functions.append((path, first, child.lineno, child.name, prefix + child.name))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            walk(child, path, f"{prefix}{child.name}." if named else prefix)
+
+    for source in sorted(package.rglob("*.py")):
+        path = source.relative_to(package).as_posix()
+        module = path.removesuffix(".py").removesuffix("/__init__").replace("/", ".")
+        walk(ast.parse(source.read_text()), path, f"{module}.")
+    return functions
+
+
+def test_what_the_pipeline_never_calls_is_the_named_table(tmp_path):
+    proc = run_python("-c", _TRACE_CALLS, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    called = {(path, int(line), name) for path, line, name in map(str.split, proc.stdout.splitlines())}
+    # A decorated function's code starts at its first decorator, or at its def line on some versions.
+    never = {
+        dotted
+        for path, first, line, name, dotted in _package_functions()
+        if not any((path, number, name) in called for number in range(first, line + 1))
+    }
+    unlisted, called_or_gone = sorted(never - _NEVER_CALLED.keys()), sorted(_NEVER_CALLED.keys() - never)
+    assert unlisted == [], f"never called, so each needs a row with its reason in _NEVER_CALLED: {unlisted}"
+    assert called_or_gone == [], f"called now, or gone, so each row goes from _NEVER_CALLED: {called_or_gone}"

@@ -1,6 +1,7 @@
 """Tests for record building, XML rendering and the info endpoint."""
 
 import contextlib
+import io
 import itertools
 import logging
 import random
@@ -12,6 +13,7 @@ import threading
 import time
 import urllib.request
 from functools import partial
+from http import HTTPStatus
 from xml.etree import ElementTree
 from xml.sax import saxutils
 
@@ -20,6 +22,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from grespipe import _httpd, infoprovider
+from grespipe._wire import MAX_LINE_BYTES
 from grespipe.infoprovider import (
     BadConfig,
     BindFailure,
@@ -539,6 +542,41 @@ class TestServeInfo:
             elapsed = time.monotonic() - start
         assert answer.startswith(b"HTTP/1.0 " + status + b" "), answer[:200]
         assert elapsed < 1.0
+
+    def test_answer_is_decided_from_the_lines_read_and_a_given_time(self, served, monkeypatch):
+        server, document = served
+        now = 784111777  # the example date of RFC 9110 section 5.6.7
+
+        def head(status: HTTPStatus, content_type: str, body: bytes) -> bytes:
+            return (
+                f"HTTP/1.0 {status.value} {status.phrase}\r\nDate: Sun, 06 Nov 1994 08:49:37 GMT\r\n"
+                f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n\r\n"
+            ).encode("ascii")
+
+        def no_clock():
+            raise AssertionError("the answer read the clock")
+
+        monkeypatch.setattr(time, "time", no_clock)
+        for case, (request_bytes, status) in zip(REQUEST_EDGE_CASES["ids"], REQUEST_EDGE_CASES["argvalues"]):
+            if case == "leading-crlf":  # the empty line before a request line is skipped by the reader, not here
+                continue
+            stream = io.BytesIO(request_bytes)  # read as the workers read a connection
+            lines = [stream.readline(MAX_LINE_BYTES + 1)]
+            while (answer := server._answer(lines, now)) is None:
+                lines.append(stream.readline(MAX_LINE_BYTES + 1))
+            code = HTTPStatus(int(status))
+            if code == HTTPStatus.OK:
+                content_type, body = "application/xml", document.encode("utf-8")
+            else:
+                content_type, body = "text/plain", code.phrase.encode("ascii")
+            assert answer == (head(code, content_type, body), body), case
+            assert code != HTTPStatus.OK or answer[1] is server.document, case  # the served bytes themselves
+            # A bad request line is answered from that line alone.
+            assert (len(lines) == 1) == (code in (400, 414, 505)), case
+        healthz = [b"GET /healthz HTTP/1.0\r\n", b"\r\n"]
+        assert server._answer(healthz, now) == (head(HTTPStatus.OK, "text/plain", b"ok"), b"ok")
+        assert server._answer(healthz[:1], now) is None
+        assert server._answer([b"hello\r\n"], now)[0].startswith(b"HTTP/1.0 400 Bad Request\r\n")
 
     def test_bind_failure(self, kebnekaise_fixture, site_config):
         blocker = socket.socket()
