@@ -17,6 +17,8 @@ rendering reproduces the original text exactly.
 match built from the same grammar.  It is a sufficient check only: a line it
 does not accept may still be valid, and :func:`parse_gres_expression` stays
 the one source of verdicts for such lines and of every error message.
+:func:`named_segments` finds the segments of one name in many lines at once
+and reads each as the parser does.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "EmptySegment",
     "MalformedCount",
     "TooManyFields",
+    "named_segments",
     "parse_gres_expression",
     "render_gres_expression",
     "surely_parses",
@@ -43,6 +46,8 @@ _COUNT = "[0-9]+[KMGTP]?"
 _COUNT_RE = re.compile(_COUNT)
 _SEGMENT = f"[^,:]+(?::[^,:]+(?::{_COUNT})?)?"
 _LINE_RE = re.compile(f"{_SEGMENT}(?:,{_SEGMENT})*")
+# A segment's optional second and third tokens, up to the next "," or the end.
+_TOKENS_AFTER_NAME = "(?::([^,:]+))?(?::([^,:]+))?(?![^,])"
 # CPython's lowest int digit limit (``sys.set_int_max_str_digits``), so int()
 # converts every count in a line of at most this many characters.
 _SURE_CHARS = 640
@@ -78,6 +83,31 @@ def surely_parses(text: str) -> bool:
     longer than 640 characters.
     """
     return len(text) <= _SURE_CHARS and _LINE_RE.fullmatch(text) is not None
+
+
+def named_segments(name: str, text: str) -> Iterator[tuple[int, str | None, str | None]]:
+    """``(start, subtype, count literal)`` of each segment named exactly
+    ``name`` in ``text``, a GRES line or many lines joined by ``,``.
+
+    One compiled pattern scans the text.  A found segment runs from the
+    text's start or a ``,`` to the next ``,`` or the text's end, so it never
+    spans two joined lines, and its tokens are read as the parser reads them.
+    A segment with an empty token or more than three tokens is not found;
+    its line does not parse.
+    """
+    for found in re.compile(re.escape(name) + _TOKENS_AFTER_NAME).finditer(text):
+        start = found.start()
+        if start == 0 or text[start - 1] == ",":
+            yield (start, *_read_tokens(*found.groups()))
+
+
+def _read_tokens(second: str | None, third: str | None = None) -> tuple[str | None, str | None]:
+    # (subtype, count literal) of a segment's second and third tokens, by the
+    # grammar's two-token rule: a lone second token that is a count literal
+    # is the count, and any other is the subtype.
+    if third is None and second is not None and _COUNT_RE.fullmatch(second):
+        return None, second
+    return second, third
 
 
 def expand_count(literal: str) -> int:
@@ -182,13 +212,9 @@ def parse_gres_expression(text: str) -> GresList:
         subtype: str | None = None
         literal: str | None = None
         if len(tokens) == 2:
-            token = tokens[1]
-            if token == "":
+            if tokens[1] == "":
                 raise EmptySegment(f"empty field in {segment!r}", index)
-            if _COUNT_RE.fullmatch(token):
-                literal = token
-            else:
-                subtype = token
+            subtype, literal = _read_tokens(tokens[1])
         elif len(tokens) == 3:
             subtype = tokens[1]
             if subtype == "":

@@ -4,23 +4,27 @@ A runtime environment (RTE) is a declarative manifest naming raw batch
 options; applying RTEs to a job accumulates those options as numbered node
 properties, which the script generator turns into ``#SBATCH`` directive
 lines.  Matchmaking checks the ``--gres=`` request a job's node properties
-carry against the resource lists a target advertises.  It parses only the
-advertised lines that name every requested resource, and only until one
-fits: a parsed entry's name is a substring of its line, so a line missing a
-requested name could never satisfy the request.
+carry against the resource lists a target advertises.  One pattern scan of
+a manager's lines finds the segments that could satisfy the first requested
+entry alone, and only their lines are parsed, until one fits: a line with no
+such segment could never satisfy the request.  The spool gets each script
+whole or not at all.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import shlex
 import time
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import accumulate
 from pathlib import Path
 
 from ._record import Record, set_field
 from ._text import key_values
-from .gres import GresEntry, GresList, GresParseError, parse_gres_expression
+from .gres import GresEntry, GresList, GresParseError, expand_count, named_segments, parse_gres_expression
 from .infoprovider import ComputingServiceRecord
 from .xrsl import JobDescription
 
@@ -197,26 +201,47 @@ def advertised_gres(
     """Lazily parse, in document order, the advertised resource lines that
     could satisfy ``requested``.
 
-    A parsed entry's name is a substring of the line it came from, so a line
-    that lacks some requested name as a substring cannot satisfy the request.
-    Skipping such lines unparsed is therefore exact: the filter is a
-    necessary condition, and :func:`match_target` gives the same verdict as
-    on every line parsed.  Lines that fail to parse are skipped as well.
+    A line satisfies a request only if it parses and one of its segments
+    alone satisfies the first requested entry: the segment has that entry's
+    name, a compatible subtype and a count at least as large.  One scan of
+    each manager's lines, joined by ``,``, finds such segments, and only
+    their lines are parsed, each once.  The filter is a necessary condition,
+    so :func:`match_target` gives the same verdict as on every line parsed.
+    Lines that fail to parse are skipped as well.  An empty request yields
+    every line that parses.
     """
-    names = {want.name for want in requested}
+    first = requested.entries[0] if requested.entries else None
     for record in records:
-        for line in record.manager.general_resources:
-            # A plain loop, not all(<generator>): this runs for every line of
-            # the document, and the generator form costs about 6x as much.
-            for name in names:
-                if name not in line:
-                    break
-            else:
-                try:
-                    parsed = parse_gres_expression(line)
-                except GresParseError:
-                    continue  # an unparseable advertisement cannot satisfy anything
-                yield parsed
+        lines = record.manager.general_resources
+        for index in range(len(lines)) if first is None else _candidate_lines(lines, first):
+            try:
+                parsed = parse_gres_expression(lines[index])
+            except GresParseError:
+                continue  # an unparseable advertisement cannot satisfy anything
+            yield parsed
+
+
+def _candidate_lines(lines: tuple[str, ...], want: GresEntry) -> Iterator[int]:
+    # The index, once each and in order, of every line with a segment that
+    # could satisfy ``want`` alone.
+    lengths = None
+    last = -1
+    for start, subtype, literal in named_segments(want.name, ",".join(lines)):
+        if want.subtype is not None and subtype != want.subtype:
+            continue
+        try:
+            count = 1 if literal is None else expand_count(literal)
+        except ValueError:  # a malformed or over-long count: the line does not parse
+            continue
+        if count < want.count:
+            continue
+        if lengths is None:
+            lengths = list(accumulate(map(len, lines)))
+        # Line i ends at lengths[i] + i in the joined text: one "," per line before it.
+        index = bisect_left(range(len(lines)), start, key=lambda i: lengths[i] + i)
+        if index != last:
+            last = index
+            yield index
 
 
 def match_target(requested: GresList, advertised: Iterable[GresList]) -> bool:
@@ -253,7 +278,10 @@ def write_spool_script(
 
     The job id derives from the clock and the script content, so a fixed
     clock gives deterministic ids; name collisions get a numeric suffix.
-    Returns ``(job_id, script_path)``.
+    The script is written whole under a temporary name (a leading ``.``,
+    no ``.sbatch``) and then linked to its own name, which ``link(2)``
+    never replaces, so a write that fails midway leaves neither name
+    behind.  Returns ``(job_id, script_path)``.
     """
     import hashlib
 
@@ -263,14 +291,21 @@ def write_spool_script(
     timestamp = int(time.time() if now is None else now)
     digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()[:8]
     base_id = f"{timestamp}-{digest}"
-    job_id = base_id
-    attempt = 1
-    while True:
-        path = spool_dir / f"{job_id}.sbatch"
-        try:
-            with path.open("x", encoding="utf-8") as handle:
-                handle.write(rendered)
-            return job_id, path
-        except FileExistsError:
-            attempt += 1
-            job_id = f"{base_id}-{attempt}"
+    # The process id keeps concurrent submissions of one script apart.
+    temporary = spool_dir / f".{base_id}.{os.getpid()}.tmp"
+    handle = temporary.open("x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(rendered)
+        job_id = base_id
+        attempt = 1
+        while True:
+            path = spool_dir / f"{job_id}.sbatch"
+            try:
+                os.link(temporary, path)
+                return job_id, path
+            except FileExistsError:
+                attempt += 1
+                job_id = f"{base_id}-{attempt}"
+    finally:
+        temporary.unlink()

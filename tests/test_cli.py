@@ -870,7 +870,6 @@ _NEVER_CALLED = {
     "gres.GresEntry.count_suffix": "tested API: tests/test_gres.py",
     "gres.GresList.__len__": "tested API: tests/test_gres.py",
     "gres.GresList.__str__": "tested API: render_gres_expression",
-    "gres.expand_count": "tested API: floor tests",
     "gres.render_gres_expression": "tested API: floor tests",
     "gres.total_capacity": "tested API: floor tests",
     "lrms.read_gres_info": "tested API: the round-trip reference for ClusterFixture._gres",

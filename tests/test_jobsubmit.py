@@ -1,12 +1,15 @@
 """Tests for RTE manifests, script generation, matchmaking and the spool."""
 
+import errno
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from grespipe import data, jobsubmit
+from grespipe.cli import EXIT_INPUT, main
 from grespipe.client import parse_execution_targets
 from grespipe.gres import GresEntry, GresList, GresParseError, parse_gres_expression
 from grespipe.infoprovider import (
@@ -294,15 +297,25 @@ class TestMatchTarget:
             )
 
 
-# Names that are substrings of one another ("gpu" in "gpuexcl") and names
-# that also occur as subtypes ("k80" in "gpu:k80:2") make the substring
-# prefilter pass lines that do not satisfy the request.
-_NAMES = ["gpu", "gpuexcl", "mps", "hbm", "k80"]
-_SUBTYPES = [None, "k80", "k80ce", "gpu", "no_consume"]
-_segment = st.tuples(
-    st.sampled_from(_NAMES), st.sampled_from(_SUBTYPES), st.sampled_from([None, "0", "1", "4", "1K"])
-).map(lambda fields: ":".join(filter(None, fields)))
-_raw_line = st.lists(_segment, min_size=1, max_size=4).map(",".join)
+# Names that are substrings of one another ("gpu" in "gpuexcl"), a name that
+# ends another ("excl"), names that also occur as subtypes ("k80" in
+# "gpu:k80:2") and names that hold pattern metacharacters; subtypes that look
+# like counts ("gpu:4K:1") or nearly ("gpu:4x"); suffixed counts against
+# plain ones ("1K" against "1024").  They make a prefilter that reads a line
+# loosely pass lines that do not satisfy the request, or skip lines that do.
+_NAMES = ["gpu", "gpuexcl", "excl", "mps", "hbm", "k80", "a.b", "x+", "(y)"]
+_SUBTYPES = [None, "k80", "k80ce", "gpu", "no_consume", "4x", "4K"]
+_COUNTS = [None, "0", "1", "4", "1K", "4K", "1024"]
+_segment = st.tuples(st.sampled_from(_NAMES), st.sampled_from(_SUBTYPES), st.sampled_from(_COUNTS)).map(
+    lambda fields: ":".join(filter(None, fields))
+)
+# Besides well-formed segments: a stray comma (an empty segment) and a line
+# break at either end of a segment.
+_raw_line = st.lists(
+    st.one_of(_segment, st.just(""), _segment.map("{}\n".format), _segment.map("\n{}".format)),
+    min_size=1,
+    max_size=4,
+).map(",".join)
 
 
 @st.composite
@@ -311,8 +324,14 @@ def _request_and_chunks(draw):
     often copied from those lines (with or without their subtype), so that
     both verdicts are common."""
     chunks = draw(st.lists(st.lists(_raw_line, max_size=4), max_size=3))
-    seen = [(e.name, e.subtype, e.count) for lines in chunks for line in lines for e in parse_gres_expression(line)]
-    fresh = st.tuples(st.sampled_from(_NAMES), st.sampled_from(_SUBTYPES), st.integers(0, 4))
+    seen = [
+        (e.name, e.subtype, e.count)
+        for lines in chunks
+        for line in lines
+        for e in _parsed_or_none(line) or ()
+    ]
+    counts = st.one_of(st.integers(0, 4), st.sampled_from([1023, 1024, 1025, 4096]))
+    fresh = st.tuples(st.sampled_from(_NAMES), st.sampled_from(_SUBTYPES), counts)
     copied = st.tuples(st.sampled_from(seen or [("gpu", None, 1)]), st.booleans()).map(
         lambda pair: (pair[0][0], pair[0][1] if pair[1] else None, pair[0][2])
     )
@@ -340,6 +359,15 @@ class TestAdvertisedGres:
     @example(([("k80", None, 1)], [["gpu:k80:2"]]))
     @example(([("k80", None, 1)], [["gpu:k80,k80"]]))
     @example(([("gpu", None, 1), ("hbm", None, 1)], [["hbm:16,gpu:1"]]))
+    @example(([("excl", None, 1)], [["gpuexcl:1"]]))
+    @example(([("a.b", None, 1), ("x+", None, 1)], [["axb:1,xx:1"], ["a.b,x+:2"]]))
+    @example(([("gpu", None, 4)], [["gpu:4x"]]))
+    @example(([("gpu", "4x", 1)], [["gpu:4x"]]))
+    @example(([("gpu", None, 1024)], [["gpu:1K"]]))
+    @example(([("gpu", None, 1)], [["gpu:1\n"], ["gpu:1,"]]))
+    # The first entry misses the first two lines by subtype and by count, and
+    # fits the third, whose second entry does not fit.
+    @example(([("gpu", "k80", 2), ("mps", None, 2)], [["gpu:k80ce:4,mps:2", "gpu:k80:1,mps:2", "gpu:k80:4,mps:1", "mps:2,gpu:k80:2"]]))
     @example(([], []))
     @example(([], [["gpu:1"]]))
     def test_prefilter_never_changes_the_verdict(self, request_and_chunks):
@@ -357,6 +385,9 @@ class TestAdvertisedGres:
         ]
         verdict = match_target(request, advertised_gres(_records(chunks), request))
         assert verdict == brute_force_match(raw_request, raw_classes)
+        # Every line parsed holds an entry that fits the first requested entry.
+        candidates = advertised_gres(_records(chunks), request)
+        assert all(brute_force_match(raw_request[:1], [[(e.name, e.subtype, e.count) for e in have]]) for have in candidates)
 
     def test_overlong_count_line_is_skipped(self, int_digits_limit):
         overlong = "gpu:k80:" + "9" * (int_digits_limit + 1)
@@ -387,8 +418,10 @@ class TestAdvertisedGres:
         "request_text, verdict, parsed",
         [
             ("", True, []),
-            ("hbm:32G", False, ["hbm:16G", "hbm:0"]),
+            ("hbm:32G", False, []),
             ("gpu:k80ce:4", True, [RESOURCE_LINES[0]]),
+            ("gpu:v100:1", True, [RESOURCE_LINES[2]]),
+            ("excl", False, []),
         ],
     )
     def test_parses_only_candidate_lines(self, kebnekaise_records, parse_calls, request_text, verdict, parsed):
@@ -416,3 +449,28 @@ class TestSpool:
         second, second_path = write_spool_script(script, tmp_path, now=1000)
         assert second == f"{first}-2"
         assert second_path.exists()
+
+    @pytest.mark.parametrize("written", [0, 1, 4096])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys, written):
+        script = generate_submit_script(JobOptions(JobDescription("a", arguments=("x" * 8192,))))
+        real_open = Path.open
+
+        def open_on_full_disk(path, *args, **kwargs):
+            handle = real_open(path, *args, **kwargs)
+            real_write = handle.write
+
+            def write(text):
+                real_write(text[:written])
+                handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            handle.write = write
+            return handle
+
+        monkeypatch.setattr(Path, "open", open_on_full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            write_spool_script(script, tmp_path, now=1000)
+        assert list(tmp_path.iterdir()) == []
+        assert main(["arcsub", str(data.HELLO_XRSL), "--spool-dir", str(tmp_path)]) == EXIT_INPUT
+        assert "No space left" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
