@@ -17,14 +17,17 @@ rendering reproduces the original text exactly.
 match built from the same grammar.  It is a sufficient check only: a line it
 does not accept may still be valid, and :func:`parse_gres_expression` stays
 the one source of verdicts for such lines and of every error message.
-:func:`named_segments` finds the segments of one name in many lines at once
-and reads each as the parser does.
+:func:`lines_satisfying` finds, with one scan of many lines, those that
+hold a segment satisfying one requested entry, reading each segment as the
+parser does.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import accumulate
 
 from ._record import Record, set_field
 
@@ -35,7 +38,7 @@ __all__ = [
     "EmptySegment",
     "MalformedCount",
     "TooManyFields",
-    "named_segments",
+    "lines_satisfying",
     "parse_gres_expression",
     "render_gres_expression",
     "surely_parses",
@@ -85,20 +88,40 @@ def surely_parses(text: str) -> bool:
     return len(text) <= _SURE_CHARS and _LINE_RE.fullmatch(text) is not None
 
 
-def named_segments(name: str, text: str) -> Iterator[tuple[int, str | None, str | None]]:
-    """``(start, subtype, count literal)`` of each segment named exactly
-    ``name`` in ``text``, a GRES line or many lines joined by ``,``.
+def lines_satisfying(want: GresEntry, lines: Sequence[str]) -> Iterator[str]:
+    """Each line of ``lines``, once and in order, with a segment that alone
+    satisfies ``want``: ``want``'s name, its subtype when it names one, and
+    a count at least as large.  No line left out could satisfy ``want``.
 
-    One compiled pattern scans the text.  A found segment runs from the
-    text's start or a ``,`` to the next ``,`` or the text's end, so it never
-    spans two joined lines, and its tokens are read as the parser reads them.
-    A segment with an empty token or more than three tokens is not found;
-    its line does not parse.
+    One compiled pattern scans the lines joined by ``,``.  A found segment
+    runs from the text's start or a ``,`` to the next ``,`` or the text's
+    end, so it never spans two lines, and its tokens are read as the parser
+    reads them.  A segment with an empty token, more than three tokens, or
+    a malformed or over-long count is skipped: its line does not parse.
     """
-    for found in re.compile(re.escape(name) + _TOKENS_AFTER_NAME).finditer(text):
+    text = ",".join(lines)
+    ends = None
+    last = -1
+    for found in re.compile(re.escape(want.name) + _TOKENS_AFTER_NAME).finditer(text):
         start = found.start()
-        if start == 0 or text[start - 1] == ",":
-            yield (start, *_read_tokens(*found.groups()))
+        if start != 0 and text[start - 1] != ",":
+            continue
+        subtype, literal = _read_tokens(*found.groups())
+        if want.subtype is not None and subtype != want.subtype:
+            continue
+        try:
+            count = 1 if literal is None else expand_count(literal)
+        except ValueError:  # a malformed or over-long count: the line does not parse
+            continue
+        if count < want.count:
+            continue
+        if ends is None:
+            ends = list(accumulate(map(len, lines)))
+        # Line i ends at ends[i] + i in the joined text: one "," per line before it.
+        index = bisect_left(range(len(lines)), start, key=lambda i: ends[i] + i)
+        if index != last:
+            last = index
+            yield lines[index]
 
 
 def _read_tokens(second: str | None, third: str | None = None) -> tuple[str | None, str | None]:

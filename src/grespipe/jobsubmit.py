@@ -13,18 +13,17 @@ whole or not at all.
 
 from __future__ import annotations
 
+import _thread
 import os
 import re
 import shlex
 import time
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
-from itertools import accumulate
 from pathlib import Path
 
 from ._record import Record, set_field
 from ._text import key_values
-from .gres import GresEntry, GresList, GresParseError, expand_count, named_segments, parse_gres_expression
+from .gres import GresEntry, GresList, GresParseError, lines_satisfying, parse_gres_expression
 from .infoprovider import ComputingServiceRecord
 from .xrsl import JobDescription
 
@@ -202,46 +201,22 @@ def advertised_gres(
     could satisfy ``requested``.
 
     A line satisfies a request only if it parses and one of its segments
-    alone satisfies the first requested entry: the segment has that entry's
-    name, a compatible subtype and a count at least as large.  One scan of
-    each manager's lines, joined by ``,``, finds such segments, and only
-    their lines are parsed, each once.  The filter is a necessary condition,
-    so :func:`match_target` gives the same verdict as on every line parsed.
+    alone satisfies the first requested entry, so of each manager's lines
+    only those :func:`~grespipe.gres.lines_satisfying` yields for that entry
+    are parsed, each once.  The filter is a necessary condition, so
+    :func:`match_target` gives the same verdict as on every line parsed.
     Lines that fail to parse are skipped as well.  An empty request yields
     every line that parses.
     """
     first = requested.entries[0] if requested.entries else None
     for record in records:
         lines = record.manager.general_resources
-        for index in range(len(lines)) if first is None else _candidate_lines(lines, first):
+        for line in lines if first is None else lines_satisfying(first, lines):
             try:
-                parsed = parse_gres_expression(lines[index])
+                parsed = parse_gres_expression(line)
             except GresParseError:
                 continue  # an unparseable advertisement cannot satisfy anything
             yield parsed
-
-
-def _candidate_lines(lines: tuple[str, ...], want: GresEntry) -> Iterator[int]:
-    # The index, once each and in order, of every line with a segment that
-    # could satisfy ``want`` alone.
-    lengths = None
-    last = -1
-    for start, subtype, literal in named_segments(want.name, ",".join(lines)):
-        if want.subtype is not None and subtype != want.subtype:
-            continue
-        try:
-            count = 1 if literal is None else expand_count(literal)
-        except ValueError:  # a malformed or over-long count: the line does not parse
-            continue
-        if count < want.count:
-            continue
-        if lengths is None:
-            lengths = list(accumulate(map(len, lines)))
-        # Line i ends at lengths[i] + i in the joined text: one "," per line before it.
-        index = bisect_left(range(len(lines)), start, key=lambda i: lengths[i] + i)
-        if index != last:
-            last = index
-            yield index
 
 
 def match_target(requested: GresList, advertised: Iterable[GresList]) -> bool:
@@ -278,10 +253,10 @@ def write_spool_script(
 
     The job id derives from the clock and the script content, so a fixed
     clock gives deterministic ids; name collisions get a numeric suffix.
-    The script is written whole under a temporary name (a leading ``.``,
-    no ``.sbatch``) and then linked to its own name, which ``link(2)``
-    never replaces, so a write that fails midway leaves neither name
-    behind.  Returns ``(job_id, script_path)``.
+    The script is written whole under a temporary name of its process and
+    thread (a leading ``.``, no ``.sbatch``) and then linked to its own
+    name, which ``link(2)`` never replaces, so a write that fails midway
+    leaves neither name behind.  Returns ``(job_id, script_path)``.
     """
     import hashlib
 
@@ -291,8 +266,8 @@ def write_spool_script(
     timestamp = int(time.time() if now is None else now)
     digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()[:8]
     base_id = f"{timestamp}-{digest}"
-    # The process id keeps concurrent submissions of one script apart.
-    temporary = spool_dir / f".{base_id}.{os.getpid()}.tmp"
+    # The process and thread ids keep concurrent submissions of one script apart.
+    temporary = spool_dir / f".{base_id}.{os.getpid()}.{_thread.get_ident()}.tmp"
     handle = temporary.open("x", encoding="utf-8")
     try:
         with handle:

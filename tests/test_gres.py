@@ -15,6 +15,7 @@ from grespipe.gres import (
     MalformedCount,
     TooManyFields,
     expand_count,
+    lines_satisfying,
     parse_gres_expression,
     render_gres_expression,
     surely_parses,
@@ -320,6 +321,28 @@ def test_surely_parses_leaves_longer_lines_to_the_parser():
     assert not surely_parses(_past_the_bound)
     assert _parser_accepts(_past_the_bound)
     assert not surely_parses("")
+
+
+@pytest.mark.parametrize(
+    "want, lines, yielded",
+    [
+        ("gpu", ["gpu:1", "a", "b", "c", "mps:1,gpu", "d"], ["gpu:1", "mps:1,gpu"]),
+        ("excl", ["gpuexcl:1", "excl"], ["excl"]),
+        ("k80", ["gpu:k80:2", "k80:2"], ["k80:2"]),
+        ("a.b", ["axb:1", "a.b"], ["a.b"]),
+        ("x+", ["xx:1", "x+:2"], ["x+:2"]),
+        ("gpu:4", ["gpu:4", "gpu:4K", "gpu:4x", "gpu:3"], ["gpu:4", "gpu:4K"]),
+        ("gpu:4x", ["gpu:4", "gpu:4x"], ["gpu:4x"]),
+        ("gpu:k80", ["gpu:k80:4x", "gpu:k80:{overlong}", "gpu:k80:4:1", "gpu::4", "gpu:k80:4"], ["gpu:k80:4"]),
+        ("gpu:k80:2", ["gpu:k80ce:4", "gpu:k80:1", "gpu:k80:2"], ["gpu:k80:2"]),
+        ("gpu", ["gpu:1,gpu:2", "gpu:1", "gpu:1"], ["gpu:1,gpu:2", "gpu:1", "gpu:1"]),
+        ("gpu:2", ["gpu\n", "gpu:2\n", "gpu:2"], ["gpu:2"]),
+        ("gpu", [], []),
+    ],
+)
+def test_lines_satisfying(int_digits_limit, want, lines, yielded):
+    lines = tuple(line.format(overlong="9" * (int_digits_limit + 1)) for line in lines)
+    assert list(lines_satisfying(parse_gres_expression(want).entries[0], lines)) == yielded
 
 
 @given(st.lists(_expression, max_size=4), st.lists(_expression, max_size=4), _token)

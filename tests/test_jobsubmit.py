@@ -1,7 +1,10 @@
 """Tests for RTE manifests, script generation, matchmaking and the spool."""
 
 import errno
+import os
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -449,6 +452,30 @@ class TestSpool:
         second, second_path = write_spool_script(script, tmp_path, now=1000)
         assert second == f"{first}-2"
         assert second_path.exists()
+
+    def test_threads_writing_one_script_get_distinct_ids(self, tmp_path, monkeypatch):
+        script = generate_submit_script(JobOptions(JobDescription("a")))
+        # No thread links its script until all four have written theirs.
+        all_written = threading.Barrier(4, timeout=5)
+        linking = threading.local()
+        real_link = os.link
+
+        def link_once_all_written(*args):
+            if not hasattr(linking, "waited"):
+                linking.waited = True
+                all_written.wait()
+            real_link(*args)
+
+        monkeypatch.setattr(os, "link", link_once_all_written)
+
+        def submit(_):
+            return write_spool_script(script, tmp_path, now=1000)[0]
+
+        with ThreadPoolExecutor(4) as pool:
+            ids = list(pool.map(submit, range(4)))
+        first = min(ids, key=len)
+        assert sorted(ids) == [first, f"{first}-2", f"{first}-3", f"{first}-4"]
+        assert {path.name for path in tmp_path.iterdir()} == {f"{job_id}.sbatch" for job_id in ids}
 
     @pytest.mark.parametrize("written", [0, 1, 4096])
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys, written):
