@@ -61,16 +61,17 @@ def content_lines(path: Path, error: type[Exception]) -> Iterator[tuple[int, str
             yield lineno, line
 
 
-def key_values(
-    path: Path, error: type[Exception], keys: Container[str] | None = None
-) -> Iterator[tuple[int, str, str]]:
-    """Yield ``(lineno, key, value)`` per ``key = value`` line, in file order
-    (repeated keys included); raise ``error`` for a line without ``=`` or,
-    if ``keys`` is given, for a key not in it."""
+def key_values(path: Path, error: type[Exception], keys: Container[str]) -> Iterator[tuple[str, str]]:
+    """Yield ``(key, value)`` per ``key = value`` line, in file order (repeated
+    keys included); ``#`` comments and blank lines are skipped.  Raise ``error``
+    as ``<path>:<line>: ...`` for a line without ``=``, a key not in ``keys``
+    or an empty value."""
     for lineno, line in content_lines(path, error):
         key, sep, value = map(str.strip, line.partition("="))
         if not sep:
             raise error(f"{path}:{lineno}: expected key = value")
-        if keys is not None and key not in keys:
+        if key not in keys:
             raise error(f"{path}:{lineno}: unknown key {key!r}")
-        yield lineno, key, value
+        if not value:
+            raise error(f"{path}:{lineno}: empty value for {key!r}")
+        yield key, value

@@ -96,8 +96,7 @@ def _clock() -> float | None:
 
 def _settings(args: argparse.Namespace) -> dict[str, str]:
     """This invocation's settings, each resolved flag > env > file > default."""
-    lines = key_values(args.config, CliInputError, _SETTINGS) if args.config else ()
-    file = {key: value for _lineno, key, value in lines}
+    file = dict(key_values(args.config, CliInputError, _SETTINGS)) if args.config else {}
     return {
         key: str(getattr(args, key, None) or os.environ.get(ENV_PREFIX + key.upper()) or file.get(key, default))
         for key, default in _SETTINGS.items()
@@ -157,11 +156,11 @@ def cmd_arcsub(args: argparse.Namespace) -> int:
     for warning in caught:
         print(f"grespipe: warning: {warning.message}", file=sys.stderr)
     registry = load_rte_registry(settings["rte_dir"])
-    opts = apply_rtes(job, registry)
-    script = generate_submit_script(opts)
+    node_properties = apply_rtes(job, registry)
+    script = generate_submit_script(job, node_properties)
     if args.match:
         records = parse_execution_targets(_read_document(args.match))
-        requested = requested_gres(opts.node_properties)
+        requested = requested_gres(node_properties)
         if not match_target(requested, advertised_gres(records, requested)):
             print(f"grespipe: no advertised target satisfies {requested}", file=sys.stderr)
             return EXIT_REFUSED

@@ -111,9 +111,8 @@ class SiteConfig(Record):
 
     @classmethod
     def from_file(cls, path: str | Path) -> SiteConfig:
-        """Load ``key = value`` lines; ``#`` comments and blanks are ignored."""
-        lines = key_values(Path(path), BadConfig)
-        return cls.from_mapping({key: value for _lineno, key, value in lines})
+        """Load the ``key = value`` lines :func:`~grespipe._text.key_values` reads, keyed by field name."""
+        return cls.from_mapping(dict(key_values(Path(path), BadConfig, cls.__match_args__)))
 
 
 def _check_id(name: str, value: str) -> None:

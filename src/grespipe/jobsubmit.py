@@ -1,9 +1,9 @@
 """Runtime-environment expansion, batch-script generation and matchmaking.
 
 A runtime environment (RTE) is a declarative manifest naming raw batch
-options; applying RTEs to a job accumulates those options as numbered node
+options; applying RTEs to a job gives the tuple of those options, its node
 properties, which the script generator turns into ``#SBATCH`` directive
-lines.  Matchmaking checks the ``--gres=`` request a job's node properties
+lines after the job's own.  Matchmaking checks the ``--gres=`` request a job's node properties
 carry against the resource lists a target advertises.  One pattern scan of
 a manager's lines finds the segments that could satisfy the first requested
 entry alone, and only their lines are parsed, until one fits: a line with no
@@ -32,7 +32,6 @@ __all__ = [
     "RteManifestError",
     "UnknownRte",
     "RteManifest",
-    "JobOptions",
     "SubmitScript",
     "load_rte_manifest",
     "load_rte_registry",
@@ -79,18 +78,6 @@ class RteManifest(Record):
                 raise ValueError(f"node property must be a non-empty single line: {prop!r}")
 
 
-class JobOptions(Record):
-    """A job description plus the node properties accumulated from its RTEs."""
-
-    __slots__ = __match_args__ = ("base", "node_properties")
-
-    def __init__(self, base: JobDescription, node_properties: tuple[str, ...] = ()):
-        set_field(self, "base", base)
-        set_field(self, "node_properties", node_properties)
-        if any(not prop for prop in self.node_properties):
-            raise ValueError("node_properties must not contain empty entries")
-
-
 class SubmitScript(Record):
     """Ordered ``#SBATCH`` directives plus the execution stanza."""
 
@@ -114,19 +101,17 @@ class SubmitScript(Record):
 
 def load_rte_manifest(path: str | Path) -> RteManifest:
     """Load a manifest file: ``name = <rte>`` once, ``node_properties = <opt>``
-    once per option; ``#`` comments and blank lines are ignored.
+    once per option, as :func:`~grespipe._text.key_values` reads them.
     """
     path = Path(path)
     name: str | None = None
     properties: list[str] = []
-    for lineno, key, value in key_values(path, RteManifestError, ("name", "node_properties")):
+    for key, value in key_values(path, RteManifestError, ("name", "node_properties")):
         if key == "name":
             name = value
-        elif not value:
-            raise RteManifestError(f"{path}:{lineno}: empty node property")
         else:
             properties.append(value)
-    if not name:
+    if name is None:
         raise RteManifestError(f"{path}: manifest declares no name")
     try:
         return RteManifest(name, tuple(properties))
@@ -149,8 +134,8 @@ def load_rte_registry(directory: str | Path) -> dict[str, RteManifest]:
     return registry
 
 
-def apply_rtes(job: JobDescription, registry: Mapping[str, RteManifest]) -> JobOptions:
-    """Append each requested RTE's node properties, in request order.
+def apply_rtes(job: JobDescription, registry: Mapping[str, RteManifest]) -> tuple[str, ...]:
+    """Return the node properties of each RTE the job requests, in request order.
 
     Duplicate properties contributed by distinct RTEs are kept.  Raises
     :class:`UnknownRte` for a name missing from the registry.
@@ -161,16 +146,15 @@ def apply_rtes(job: JobDescription, registry: Mapping[str, RteManifest]) -> JobO
         if manifest is None:
             raise UnknownRte(name)
         properties.extend(manifest.node_properties)
-    return JobOptions(job, tuple(properties))
+    return tuple(properties)
 
 
-def generate_submit_script(opts: JobOptions) -> SubmitScript:
-    """Turn job options into a batch script.
+def generate_submit_script(job: JobDescription, node_properties: tuple[str, ...] = ()) -> SubmitScript:
+    """Turn a job and the node properties of its RTEs into a batch script.
 
     Directive order: job name (when set), task count, output/error names
     (when set), then one directive per node property in application order.
     """
-    job = opts.base
     directives = []
     if job.job_name:
         directives.append(f"#SBATCH --job-name={shlex.quote(job.job_name)}")
@@ -179,7 +163,7 @@ def generate_submit_script(opts: JobOptions) -> SubmitScript:
         directives.append(f"#SBATCH --output={shlex.quote(job.stdout_name)}")
     if job.stderr_name:
         directives.append(f"#SBATCH --error={shlex.quote(job.stderr_name)}")
-    directives.extend(f"#SBATCH {prop}" for prop in opts.node_properties)
+    directives.extend(f"#SBATCH {prop}" for prop in node_properties)
     payload = " ".join(shlex.quote(token) for token in (job.executable, *job.arguments))
     return SubmitScript(tuple(directives), payload)
 

@@ -127,12 +127,12 @@ class ClusterSnapshot(Record):
             raise ValueError(f"snapshot must not contain {value!r}")
 
 
-def load_fixture(path: str | Path, cluster_name: str | None = None) -> ClusterFixture:
+def load_fixture(path: str | Path) -> ClusterFixture:
     """Load a cluster fixture from a line-oriented text file.
 
     One record per line, ``partition|node_count|gres_line`` with an ASCII
     digit ``node_count``; lines starting with ``#`` and blank lines are
-    ignored.  The cluster name defaults to the file's stem.
+    ignored.  The cluster is named after the file's stem.
     """
     path = Path(path)
     node_classes = []
@@ -145,7 +145,7 @@ def load_fixture(path: str | Path, cluster_name: str | None = None) -> ClusterFi
         if count is None:
             raise InvalidFixture(f"{path}:{lineno}: bad node count {count_text!r}")
         node_classes.append(NodeClass(partition, count, gres_line))
-    return ClusterFixture(cluster_name or path.stem, tuple(node_classes))
+    return ClusterFixture(path.stem, tuple(node_classes))
 
 
 def sinfo_query(fixture: ClusterFixture, format: str) -> list[str]:

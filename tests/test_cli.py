@@ -58,8 +58,8 @@ class TestMockSinfo:
 
     @pytest.mark.parametrize(
         "content",
-        [None, "fixture /no/equals/sign\n", "colour = blue\n"],
-        ids=["missing", "no-equals", "unknown-key"],
+        [None, "fixture /no/equals/sign\n", "colour = blue\n", "spool_dir =\n"],
+        ids=["missing", "no-equals", "unknown-key", "empty-value"],
     )
     def test_bad_config_file(self, tmp_path, capsys, content):
         config = tmp_path / "cli.conf"

@@ -138,6 +138,10 @@ class TestSiteConfig:
             SiteConfig.from_file(path)
         with pytest.raises(BadConfig):
             SiteConfig.from_file(tmp_path / "missing.conf")
+        path.write_text("admin_domain = x\ncolour = blue\n")
+        with pytest.raises(BadConfig) as raised:
+            SiteConfig.from_file(path)
+        assert str(raised.value) == f"{path}:2: unknown key 'colour'"
 
 
 class TestBuildComputingService:

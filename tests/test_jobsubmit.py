@@ -22,7 +22,6 @@ from grespipe.infoprovider import (
     render_glue2_xml,
 )
 from grespipe.jobsubmit import (
-    JobOptions,
     RteManifest,
     RteManifestError,
     SubmitScript,
@@ -89,9 +88,12 @@ class TestManifests:
 
     def test_empty_property(self, tmp_path):
         path = tmp_path / "bad.rte"
-        path.write_text("name = X\nnode_properties =\n")
-        with pytest.raises(RteManifestError):
-            load_rte_manifest(path)
+        for text, where in (("name = X\nnode_properties =\n", "2: empty value for 'node_properties'"),
+                            ("name =\n", "1: empty value for 'name'")):
+            path.write_text(text)
+            with pytest.raises(RteManifestError) as raised:
+                load_rte_manifest(path)
+            assert str(raised.value) == f"{path}:{where}"
 
     def test_registry_loads_directory(self, tmp_path):
         (tmp_path / "A.rte").write_text("name = A\nnode_properties = --gres=gpu:1\n")
@@ -115,12 +117,10 @@ class TestApplyRtes:
     def test_single_rte(self):
         job = JobDescription("hello.sh", runtime_environments=("KGPU6",))
         registry = {"KGPU6": RteManifest("KGPU6", ("--gres=gpu:k80:1",))}
-        opts = apply_rtes(job, registry)
-        assert opts.node_properties == ("--gres=gpu:k80:1",)
+        assert apply_rtes(job, registry) == ("--gres=gpu:k80:1",)
 
     def test_no_rtes(self):
-        opts = apply_rtes(JobDescription("a"), {})
-        assert opts.node_properties == ()
+        assert apply_rtes(JobDescription("a"), {}) == ()
 
     def test_unknown_rte(self):
         job = JobDescription("a", runtime_environments=("NOPE",))
@@ -134,27 +134,24 @@ class TestApplyRtes:
             "B": RteManifest("B", ("--gres=gpu:1",)),
         }
         job = JobDescription("a", runtime_environments=("B", "A", "B"))
-        opts = apply_rtes(job, registry)
-        assert opts.node_properties == ("--gres=gpu:1", "--gres=gpu:1", "--x=1", "--gres=gpu:1")
+        assert apply_rtes(job, registry) == ("--gres=gpu:1", "--gres=gpu:1", "--x=1", "--gres=gpu:1")
 
     def test_concatenation_associativity(self):
         registry = {
             "A": RteManifest("A", ("--a=1",)),
             "B": RteManifest("B", ("--b=1", "--b=2")),
         }
-        together = apply_rtes(
-            JobDescription("x", runtime_environments=("A", "B")), registry
-        ).node_properties
+        together = apply_rtes(JobDescription("x", runtime_environments=("A", "B")), registry)
         first = apply_rtes(JobDescription("x", runtime_environments=("A",)), registry)
         second = apply_rtes(JobDescription("x", runtime_environments=("B",)), registry)
-        assert together == first.node_properties + second.node_properties
+        assert together == first + second
 
 
 class TestGenerateScript:
     def test_gpu_job_script(self):
         job = parse_xrsl(data.HELLO_XRSL.read_text())
         registry = load_rte_registry(data.RTE_DIR)
-        script = generate_submit_script(apply_rtes(job, registry))
+        script = generate_submit_script(job, apply_rtes(job, registry))
         assert "#SBATCH --gres=gpu:k80:1" in script.directives
         rendered = script.render()
         assert rendered.splitlines() == [
@@ -169,7 +166,7 @@ class TestGenerateScript:
         ]
 
     def test_minimal_job(self):
-        script = generate_submit_script(JobOptions(JobDescription("a")))
+        script = generate_submit_script(JobDescription("a"))
         assert script.directives == ("#SBATCH --ntasks=1",)
 
     def test_property_directives_in_application_order(self):
@@ -178,8 +175,7 @@ class TestGenerateScript:
             "TWO": RteManifest("TWO", ("--gres=hbm:4G",)),
         }
         job = JobDescription("a", runtime_environments=("TWO", "ONE"))
-        opts = apply_rtes(job, registry)
-        script = generate_submit_script(opts)
+        script = generate_submit_script(job, apply_rtes(job, registry))
         property_lines = [d for d in script.directives if "--gres=" in d]
         assert property_lines == ["#SBATCH --gres=hbm:4G", "#SBATCH --gres=gpu:k80:1"]
         assert len(property_lines) == sum(
@@ -187,18 +183,17 @@ class TestGenerateScript:
         )
 
     def test_every_property_appears_exactly_once_before_payload(self):
-        opts = JobOptions(JobDescription("run", ("in.dat",)), ("--gres=gpu:2", "--x=y"))
-        script = generate_submit_script(opts)
+        node_properties = ("--gres=gpu:2", "--x=y")
+        script = generate_submit_script(JobDescription("run", ("in.dat",)), node_properties)
         rendered = script.render()
-        for prop in opts.node_properties:
+        for prop in node_properties:
             assert rendered.count(f"#SBATCH {prop}") == 1
         directive_part, _, payload_part = rendered.partition("\n\n")
         assert "run" in payload_part
         assert all(line.startswith(("#!", "#SBATCH ")) for line in directive_part.splitlines())
 
     def test_payload_is_shell_quoted(self):
-        opts = JobOptions(JobDescription("my app", ("a b", "plain")))
-        script = generate_submit_script(opts)
+        script = generate_submit_script(JobDescription("my app", ("a b", "plain")))
         assert script.payload == "'my app' 'a b' plain"
 
     def test_directive_prefix_enforced(self):
@@ -214,7 +209,7 @@ class TestGenerateScript:
     def test_line_break_in_job_field_rejected(self, field):
         job = JobDescription("a", **{field: "x\necho INJECTED #"})
         with pytest.raises(ValueError, match="directive must be a single line"):
-            generate_submit_script(JobOptions(job))
+            generate_submit_script(job)
 
 
 class TestMatchTarget:
@@ -435,26 +430,26 @@ class TestAdvertisedGres:
 
 class TestSpool:
     def test_writes_script_file(self, tmp_path):
-        script = generate_submit_script(JobOptions(JobDescription("a")))
+        script = generate_submit_script(JobDescription("a"))
         job_id, path = write_spool_script(script, tmp_path / "spool", now=1000)
         assert path.name == f"{job_id}.sbatch"
         assert path.read_text() == script.render()
 
     def test_deterministic_id_for_fixed_clock(self, tmp_path):
-        script = generate_submit_script(JobOptions(JobDescription("a")))
+        script = generate_submit_script(JobDescription("a"))
         id_one, _ = write_spool_script(script, tmp_path / "one", now=1000)
         id_two, _ = write_spool_script(script, tmp_path / "two", now=1000)
         assert id_one == id_two == id_one
 
     def test_collision_gets_suffix(self, tmp_path):
-        script = generate_submit_script(JobOptions(JobDescription("a")))
+        script = generate_submit_script(JobDescription("a"))
         first, _ = write_spool_script(script, tmp_path, now=1000)
         second, second_path = write_spool_script(script, tmp_path, now=1000)
         assert second == f"{first}-2"
         assert second_path.exists()
 
     def test_threads_writing_one_script_get_distinct_ids(self, tmp_path, monkeypatch):
-        script = generate_submit_script(JobOptions(JobDescription("a")))
+        script = generate_submit_script(JobDescription("a"))
         # No thread links its script until all four have written theirs.
         all_written = threading.Barrier(4, timeout=5)
         linking = threading.local()
@@ -479,7 +474,7 @@ class TestSpool:
 
     @pytest.mark.parametrize("written", [0, 1, 4096])
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys, written):
-        script = generate_submit_script(JobOptions(JobDescription("a", arguments=("x" * 8192,))))
+        script = generate_submit_script(JobDescription("a", arguments=("x" * 8192,)))
         real_open = Path.open
 
         def open_on_full_disk(path, *args, **kwargs):

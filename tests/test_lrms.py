@@ -169,11 +169,6 @@ class TestLoadFixture:
         assert [nc.partition for nc in fixture.node_classes] == ["main", "extra"]
         assert fixture.node_classes[0].node_count == 4
 
-    def test_explicit_cluster_name(self, tmp_path):
-        path = tmp_path / "mini.fixture"
-        path.write_text("main|1|gpu:1\n")
-        assert load_fixture(path, cluster_name="other").cluster_name == "other"
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(InvalidFixture):
             load_fixture(tmp_path / "nope.fixture")

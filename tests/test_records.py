@@ -21,7 +21,7 @@ from grespipe.infoprovider import (
     SiteConfig,
     render_glue2_xml,
 )
-from grespipe.jobsubmit import JobOptions, RteManifest, SubmitScript
+from grespipe.jobsubmit import RteManifest, SubmitScript
 from grespipe.lrms import ClusterFixture, ClusterSnapshot, InvalidFixture, NodeClass
 from grespipe.xrsl import JobDescription
 
@@ -74,12 +74,6 @@ RECORDS = {
         lambda: RteManifest("KGPU6", ("--gres=gpu:k80:1",)),
         ("name", "node_properties"),
         "RteManifest(name='KGPU6', node_properties=('--gres=gpu:k80:1',))",
-    ),
-    "JobOptions": (
-        lambda: JobOptions(JobDescription("hello.sh"), ("--gres=gpu:k80:1",)),
-        ("base", "node_properties"),
-        "JobOptions(base=JobDescription(executable='hello.sh', arguments=(), job_name=None, count=1, "
-        "runtime_environments=(), stdout_name=None, stderr_name=None), node_properties=('--gres=gpu:k80:1',))",
     ),
     "SubmitScript": (
         lambda: SubmitScript(("#SBATCH --ntasks=1",), "hello.sh"),
@@ -212,8 +206,6 @@ def test_record_copies_and_pickles(record):
         (lambda: RteManifest("KGPU6", ("--a", "x\ny")), ValueError,
          "node property must be a non-empty single line: 'x\\ny'"),
         (lambda: RteManifest("KGPU6", ("",)), ValueError, "node property must be a non-empty single line: ''"),
-        (lambda: JobOptions(JobDescription("x"), ("--a", "")), ValueError,
-         "node_properties must not contain empty entries"),
         (lambda: SubmitScript(("#SBATCH --a", "--b\n"), "x"), ValueError,
          "directive must start with '#SBATCH ': '--b\\n'"),
         (lambda: SubmitScript(("#SBATCH --a\n#SBATCH --b",), "x"), ValueError,
@@ -232,7 +224,7 @@ def test_record_copies_and_pickles(record):
     ids=[
         "entry-count", "entry-empty", "entry-grammar", "fixture-empty", "fixture-partition", "fixture-count",
         "fixture-gres", "snapshot-null", "snapshot-empty", "rte-name",
-        "rte-newline", "rte-empty", "options-empty", "script-prefix", "script-newline", "job-executable",
+        "rte-newline", "rte-empty", "script-prefix", "script-newline", "job-executable",
         "job-count", "site-keys", "site-interval", "site-bind", "manager-name", "manager-name-render",
     ],
 )
