@@ -155,7 +155,7 @@ def cmd_arcsub(args: argparse.Namespace) -> int:
         job = parse_xrsl(text)
     for warning in caught:
         print(f"grespipe: warning: {warning.message}", file=sys.stderr)
-    registry = load_rte_registry(settings["rte_dir"])
+    registry = load_rte_registry(settings["rte_dir"], job.runtime_environments)
     node_properties = apply_rtes(job, registry)
     script = generate_submit_script(job, node_properties)
     if args.match:

@@ -1,14 +1,14 @@
 """Runtime-environment expansion, batch-script generation and matchmaking.
 
-A runtime environment (RTE) is a declarative manifest naming raw batch
-options; applying RTEs to a job gives the tuple of those options, its node
-properties, which the script generator turns into ``#SBATCH`` directive
-lines after the job's own.  Matchmaking checks the ``--gres=`` request a job's node properties
-carry against the resource lists a target advertises.  One pattern scan of
-a manager's lines finds the segments that could satisfy the first requested
-entry alone, and only their lines are parsed, until one fits: a line with no
-such segment could never satisfy the request.  The spool gets each script
-whole or not at all.
+A runtime environment (RTE) is a manifest of raw batch options that a job
+finds by name, as ARC does, at ``<rte_dir>/<name>.rte``; applying RTEs to a
+job gives the tuple of their options, its node properties, which the script
+generator turns into ``#SBATCH`` lines after the job's own.  Matchmaking
+checks the ``--gres=`` request a job's node properties carry against the
+resource lists a target advertises.  One pattern scan of a manager's lines
+finds the segments that could satisfy the first requested entry alone, and
+only their lines are parsed, until one fits: a line with no such segment
+could never satisfy the request.  The spool gets each script whole or not at all.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ class SubmitScript(Record):
 
 
 def load_rte_manifest(path: str | Path) -> RteManifest:
-    """Load a manifest file: ``name = <rte>`` once, ``node_properties = <opt>``
-    once per option, as :func:`~grespipe._text.key_values` reads them.
+    """Load a manifest file: ``name = <its file's stem>`` once, ``node_properties =
+    <opt>`` once per option, as :func:`~grespipe._text.key_values` reads them.
     """
     path = Path(path)
     name: str | None = None
@@ -111,26 +111,26 @@ def load_rte_manifest(path: str | Path) -> RteManifest:
             name = value
         else:
             properties.append(value)
-    if name is None:
-        raise RteManifestError(f"{path}: manifest declares no name")
+    if name != path.stem:
+        raise RteManifestError(f"{path}: manifest must declare name = {path.stem}")
     try:
         return RteManifest(name, tuple(properties))
     except ValueError as exc:
         raise RteManifestError(f"{path}: {exc}") from exc
 
 
-def load_rte_registry(directory: str | Path) -> dict[str, RteManifest]:
-    """Load every ``*.rte`` manifest under a directory, keyed by declared name;
-    raises :class:`RteManifestError` when ``directory`` is not a directory."""
+def load_rte_registry(directory: str | Path, names: Iterable[str]) -> dict[str, RteManifest]:
+    """Load ``<directory>/<name>.rte``, and no other file, for each distinct name, keyed by name; a name that
+    ``_RTE_NAME_RE`` refuses (``../x``) is :class:`UnknownRte` before any file is touched, as is a missing one."""
     directory = Path(directory)
     if not directory.is_dir():
         raise RteManifestError(f"RTE directory not found: {directory}")
     registry: dict[str, RteManifest] = {}
-    for path in sorted(directory.glob("*.rte")):
-        manifest = load_rte_manifest(path)
-        if manifest.name in registry:
-            raise RteManifestError(f"duplicate RTE name {manifest.name!r} in {path}")
-        registry[manifest.name] = manifest
+    for name in dict.fromkeys(names):
+        path = directory / f"{name}.rte"
+        if not _RTE_NAME_RE.fullmatch(name) or not path.is_file():
+            raise UnknownRte(name)
+        registry[name] = load_rte_manifest(path)
     return registry
 
 

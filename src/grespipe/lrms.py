@@ -131,13 +131,13 @@ def load_fixture(path: str | Path) -> ClusterFixture:
     """Load a cluster fixture from a line-oriented text file.
 
     One record per line, ``partition|node_count|gres_line`` with an ASCII
-    digit ``node_count``; lines starting with ``#`` and blank lines are
-    ignored.  The cluster is named after the file's stem.
+    digit ``node_count`` and no ``|`` in the GRES line; lines starting with
+    ``#`` and blank lines are ignored.  The cluster is named after the file's stem.
     """
     path = Path(path)
     node_classes = []
     for lineno, line in content_lines(path, InvalidFixture):
-        fields = line.split("|", 2)
+        fields = line.split("|")
         if len(fields) != 3:
             raise InvalidFixture(f"{path}:{lineno}: expected partition|node_count|gres_line")
         partition, count_text, gres_line = fields[0].strip(), fields[1].strip(), fields[2].strip()

@@ -562,12 +562,12 @@ def test_closed_stdout_is_env_error_without_traceback(argv):
     ids=["fixture", "config", "site-config", "xrsl", "rte-manifest", "arcinfo"],
 )
 def test_non_utf8_input_file_is_input_error_without_traceback(argv, tmp_path):
-    bad = tmp_path / "bad.rte"
+    bad = tmp_path / "KGPU6.rte"  # the manifest hello.xrsl names
     bad.write_bytes(b"\xff\xfe")
     argv = [arg.format(bad=bad, dir=tmp_path, spool=tmp_path / "spool") for arg in argv]
     proc = run_python("-m", "grespipe", *argv)
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("grespipe: error: ")
+    assert proc.stderr.startswith(f"grespipe: error: cannot read {bad}: ")
     assert proc.returncode == EXIT_INPUT
 
 
@@ -584,12 +584,12 @@ def test_non_utf8_input_file_is_input_error_without_traceback(argv, tmp_path):
 )
 def test_oversized_input_file_is_input_error(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(_text, "MAX_DOCUMENT_BYTES", 100)
-    big = tmp_path / "big.rte"
+    big = tmp_path / "KGPU6.rte"  # the manifest small.xrsl names
     big.write_bytes(b"#" * 101)
     # Inputs read before the oversized one, each within the limit.
     fixture, xrsl = tmp_path / "small.fixture", tmp_path / "small.xrsl"
     fixture.write_text("main|1|gpu:1\n")
-    xrsl.write_text('&(executable="hello.sh")\n')
+    xrsl.write_text('&(executable="hello.sh")(runTimeEnvironment="KGPU6")\n')
     names = {"big": big, "fixture": fixture, "xrsl": xrsl, "dir": tmp_path, "spool": tmp_path / "spool"}
     argv = [arg.format(**names) for arg in argv]
     assert main(argv) == EXIT_INPUT

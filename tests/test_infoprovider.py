@@ -22,7 +22,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from grespipe import _httpd, infoprovider
-from grespipe._wire import MAX_LINE_BYTES
+from grespipe._wire import MAX_LINE_BYTES, head_ended
 from grespipe.infoprovider import (
     BadConfig,
     BindFailure,
@@ -581,6 +581,8 @@ class TestServeInfo:
         assert server._answer(healthz, now) == (head(HTTPStatus.OK, "text/plain", b"ok"), b"ok")
         assert server._answer(healthz[:1], now) is None
         assert server._answer([b"hello\r\n"], now)[0].startswith(b"HTTP/1.0 400 Bad Request\r\n")
+        # An empty first line is no head that ended, even at the end of the stream.
+        assert head_ended([b""]) is False
 
     def test_bind_failure(self, kebnekaise_fixture, site_config):
         blocker = socket.socket()

@@ -1,8 +1,10 @@
 """Tests for RTE manifests, script generation, matchmaking and the spool."""
 
 import errno
+import functools
 import os
 import random
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -49,7 +51,7 @@ class TestManifests:
         assert manifest.node_properties == ("--gres=gpu:k80:1",)
 
     def test_multiple_properties_in_order(self, tmp_path):
-        path = tmp_path / "multi.rte"
+        path = tmp_path / "MULTI.rte"
         path.write_text(
             "name = MULTI\n"
             "node_properties = --gres=gpu:2\n"
@@ -98,19 +100,100 @@ class TestManifests:
     def test_registry_loads_directory(self, tmp_path):
         (tmp_path / "A.rte").write_text("name = A\nnode_properties = --gres=gpu:1\n")
         (tmp_path / "B.rte").write_text("name = B\nnode_properties = --mem=1G\n")
+        (tmp_path / "C.rte").write_bytes(b"\xff\xfe no key = value here\n")  # malformed, and not named
         (tmp_path / "notes.txt").write_text("ignored")
-        registry = load_rte_registry(tmp_path)
-        assert sorted(registry) == ["A", "B"]
+        registry = load_rte_registry(tmp_path, ["B", "A", "B"])
+        assert registry == {"B": RteManifest("B", ("--mem=1G",)), "A": RteManifest("A", ("--gres=gpu:1",))}
+        assert list(registry) == ["B", "A"]
+        assert load_rte_registry(tmp_path, ()) == {}
 
     def test_registry_rejects_missing_directory(self, tmp_path):
         with pytest.raises(RteManifestError, match="RTE directory not found"):
-            load_rte_registry(tmp_path / "nope")
+            load_rte_registry(tmp_path / "nope", ["A"])
+        with pytest.raises(RteManifestError, match="RTE directory not found"):
+            load_rte_registry(tmp_path / "nope", ())
 
-    def test_registry_rejects_duplicate_names(self, tmp_path):
-        (tmp_path / "a.rte").write_text("name = SAME\n")
-        (tmp_path / "b.rte").write_text("name = SAME\n")
-        with pytest.raises(RteManifestError):
-            load_rte_registry(tmp_path)
+    def test_registry_rejects_a_name_other_than_the_stem(self, tmp_path):
+        for stem, declared in (("a", "SAME"), ("SAME", "same"), ("b", None)):
+            path = tmp_path / f"{stem}.rte"
+            path.write_text("node_properties = --x=1\n" + (f"name = {declared}\n" if declared else ""))
+            with pytest.raises(RteManifestError) as raised:
+                load_rte_registry(tmp_path, [stem])
+            assert str(raised.value) == f"{path}: manifest must declare name = {stem}"
+
+
+_open_logs: list[list[str]] = []  # the path lists of the tests now recording opens
+
+
+def _record_open(event: str, args: tuple) -> None:
+    if event == "open" and _open_logs and isinstance(args[0], (str, bytes, os.PathLike)):
+        _open_logs[-1].append(os.fsdecode(args[0]))
+
+
+@functools.cache
+def _install_open_hook() -> None:
+    sys.addaudithook(_record_open)  # an audit hook cannot be removed, so it is added once
+
+
+@pytest.fixture
+def opened():
+    """The paths of the files this process opens while the test runs, in order."""
+    _install_open_hook()
+    paths: list[str] = []
+    _open_logs.append(paths)
+    try:
+        yield paths
+    finally:
+        _open_logs.remove(paths)
+
+
+class TestRteLookup:
+    """``arcsub`` finds each RTE its job names at ``<rte_dir>/<name>.rte`` and reads no other manifest."""
+
+    @staticmethod
+    def _arcsub(job: Path, rte_dir: Path, spool: Path) -> int:
+        return main(["arcsub", str(job), "--rte-dir", str(rte_dir), "--spool-dir", str(spool)])
+
+    def test_a_job_naming_one_rte_opens_one_manifest_of_forty(self, tmp_path, opened, capsys):
+        rte_dir = tmp_path / "rtes"
+        rte_dir.mkdir()
+        for index in range(40):
+            name = f"R{index:02d}"
+            (rte_dir / f"{name}.rte").write_text(f"name = {name}\nnode_properties = --x={name}\n")
+        job = tmp_path / "job.xrsl"
+        job.write_text('&(executable="a")(runTimeEnvironment="R07")(runTimeEnvironment="R07")\n')
+        opened.clear()  # only what the command opens
+        assert self._arcsub(job, rte_dir, tmp_path / "spool") == 0
+        assert [path for path in opened if path.endswith(".rte")] == [str(rte_dir / "R07.rte")]
+        script = Path(capsys.readouterr().out.split()[1]).read_text()
+        assert script.count("#SBATCH --x=R07\n") == 2
+
+    @pytest.mark.parametrize(
+        "name", ["../KGPU6", "a/b", "", "{tmp}/KGPU6"], ids=["parent", "slash", "empty", "absolute"]
+    )
+    def test_a_name_that_could_leave_the_directory_is_unknown_and_opens_nothing(self, name, tmp_path, opened, capsys):
+        rte_dir = tmp_path / "rtes"
+        (rte_dir / "a").mkdir(parents=True)
+        # A manifest wherever a refused name would lead, had it been looked up as a path.
+        for path in (tmp_path / "KGPU6.rte", rte_dir / "a" / "b.rte", rte_dir / ".rte"):
+            path.write_text(f"name = {path.stem}\nnode_properties = --gres=gpu:1\n")
+        name = name.format(tmp=tmp_path)
+        job = tmp_path / "job.xrsl"
+        job.write_text(f'&(executable="a")(runTimeEnvironment="{name}")\n')
+        opened.clear()  # only what the command opens
+        assert self._arcsub(job, rte_dir, tmp_path / "spool") == EXIT_INPUT
+        assert capsys.readouterr().err == f"grespipe: error: unknown runtime environment: {name}\n"
+        assert [path for path in opened if path.startswith(str(tmp_path))] == [str(job)]
+
+    def test_a_malformed_manifest_the_job_does_not_name_is_not_read(self, tmp_path, capsys):
+        rte_dir = tmp_path / "rtes"
+        rte_dir.mkdir()
+        (rte_dir / "KGPU6.rte").write_bytes((data.RTE_DIR / "KGPU6.rte").read_bytes())
+        (rte_dir / "BROKEN.rte").write_bytes(b"\xff\xfe")  # not UTF-8
+        (rte_dir / "OTHER.rte").write_text("name = KGPU6\n")  # another file declaring KGPU6
+        assert self._arcsub(data.HELLO_XRSL, rte_dir, tmp_path / "spool") == 0
+        script = Path(capsys.readouterr().out.split()[1]).read_text()
+        assert "#SBATCH --gres=gpu:k80:1\n" in script
 
 
 class TestApplyRtes:
@@ -150,7 +233,7 @@ class TestApplyRtes:
 class TestGenerateScript:
     def test_gpu_job_script(self):
         job = parse_xrsl(data.HELLO_XRSL.read_text())
-        registry = load_rte_registry(data.RTE_DIR)
+        registry = load_rte_registry(data.RTE_DIR, job.runtime_environments)
         script = generate_submit_script(job, apply_rtes(job, registry))
         assert "#SBATCH --gres=gpu:k80:1" in script.directives
         rendered = script.render()

@@ -175,9 +175,11 @@ class TestLoadFixture:
 
     def test_bad_record_shape(self, tmp_path):
         path = tmp_path / "bad.fixture"
-        path.write_text("just-one-field\n")
-        with pytest.raises(InvalidFixture):
-            load_fixture(path)
+        for line in ("just-one-field", "main|1", "main|1|gpu:1|x"):
+            path.write_text(f"# header\n{line}\n")
+            with pytest.raises(InvalidFixture) as raised:
+                load_fixture(path)
+            assert str(raised.value) == f"{path}:2: expected partition|node_count|gres_line", line
 
     def test_bad_node_count(self, tmp_path, int_digits_limit):
         path = tmp_path / "bad.fixture"
