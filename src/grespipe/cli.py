@@ -234,7 +234,3 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(exc), EXIT_REFUSED)
     except _INPUT_ERRORS as exc:
         return _fail(str(exc))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

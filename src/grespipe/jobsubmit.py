@@ -1,9 +1,10 @@
 """Runtime-environment expansion, batch-script generation and matchmaking.
 
 A runtime environment (RTE) is a manifest of raw batch options that a job
-finds by name, as ARC does, at ``<rte_dir>/<name>.rte``; applying RTEs to a
-job gives the tuple of their options, its node properties, which the script
-generator turns into ``#SBATCH`` lines after the job's own.  Matchmaking
+finds by name, as ARC does, at ``<rte_dir>/<name>.rte``, as the tuple of
+those options; applying RTEs to a job gives the tuple of all their options,
+its node properties, which the script generator writes, as ``#SBATCH`` lines
+after the job's own, into the text of its batch script.  Matchmaking
 checks the ``--gres=`` request a job's node properties carry against the
 resource lists a target advertises.  One pattern scan of a manager's lines
 finds the segments that could satisfy the first requested entry alone, and
@@ -21,7 +22,6 @@ import time
 from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
 
-from ._record import Record, set_field
 from ._text import key_values
 from .gres import GresEntry, GresList, GresParseError, lines_satisfying, parse_gres_expression
 from .infoprovider import ComputingServiceRecord
@@ -31,8 +31,6 @@ __all__ = [
     "JobSubmitError",
     "RteManifestError",
     "UnknownRte",
-    "RteManifest",
-    "SubmitScript",
     "load_rte_manifest",
     "load_rte_registry",
     "apply_rtes",
@@ -63,45 +61,11 @@ class UnknownRte(JobSubmitError):
         self.name = name
 
 
-class RteManifest(Record):
-    """A named set of raw batch options to append at submission time."""
-
-    __slots__ = __match_args__ = ("name", "node_properties")
-
-    def __init__(self, name: str, node_properties: tuple[str, ...] = ()):
-        set_field(self, "name", name)
-        set_field(self, "node_properties", node_properties)
-        if not _RTE_NAME_RE.fullmatch(self.name):
-            raise ValueError(f"bad RTE name: {self.name!r}")
-        for prop in self.node_properties:
-            if not prop or "\n" in prop or "\r" in prop:
-                raise ValueError(f"node property must be a non-empty single line: {prop!r}")
-
-
-class SubmitScript(Record):
-    """Ordered ``#SBATCH`` directives plus the execution stanza."""
-
-    __slots__ = __match_args__ = ("directives", "payload")
-
-    def __init__(self, directives: tuple[str, ...], payload: str):
-        set_field(self, "directives", directives)
-        set_field(self, "payload", payload)
-        for directive in self.directives:
-            if not directive.startswith("#SBATCH "):
-                raise ValueError(f"directive must start with '#SBATCH ': {directive!r}")
-            # sbatch stops reading directives at the first line that is not
-            # one, so a line break would silently drop every directive after it.
-            if "\n" in directive or "\r" in directive:
-                raise ValueError(f"directive must be a single line: {directive!r}")
-
-    def render(self) -> str:
-        lines = ["#!/bin/bash", *self.directives, "", self.payload]
-        return "\n".join(lines) + "\n"
-
-
-def load_rte_manifest(path: str | Path) -> RteManifest:
-    """Load a manifest file: ``name = <its file's stem>`` once, ``node_properties =
-    <opt>`` once per option, as :func:`~grespipe._text.key_values` reads them.
+def load_rte_manifest(path: str | Path) -> tuple[str, ...]:
+    """Return the node properties of a manifest file: ``name = <its file's stem>``
+    once, ``node_properties = <opt>`` once per option, as
+    :func:`~grespipe._text.key_values` reads them, so none is empty or holds
+    a line break.
     """
     path = Path(path)
     name: str | None = None
@@ -113,19 +77,16 @@ def load_rte_manifest(path: str | Path) -> RteManifest:
             properties.append(value)
     if name != path.stem:
         raise RteManifestError(f"{path}: manifest must declare name = {path.stem}")
-    try:
-        return RteManifest(name, tuple(properties))
-    except ValueError as exc:
-        raise RteManifestError(f"{path}: {exc}") from exc
+    return tuple(properties)
 
 
-def load_rte_registry(directory: str | Path, names: Iterable[str]) -> dict[str, RteManifest]:
+def load_rte_registry(directory: str | Path, names: Iterable[str]) -> dict[str, tuple[str, ...]]:
     """Load ``<directory>/<name>.rte``, and no other file, for each distinct name, keyed by name; a name that
     ``_RTE_NAME_RE`` refuses (``../x``) is :class:`UnknownRte` before any file is touched, as is a missing one."""
     directory = Path(directory)
     if not directory.is_dir():
         raise RteManifestError(f"RTE directory not found: {directory}")
-    registry: dict[str, RteManifest] = {}
+    registry: dict[str, tuple[str, ...]] = {}
     for name in dict.fromkeys(names):
         path = directory / f"{name}.rte"
         if not _RTE_NAME_RE.fullmatch(name) or not path.is_file():
@@ -134,7 +95,7 @@ def load_rte_registry(directory: str | Path, names: Iterable[str]) -> dict[str, 
     return registry
 
 
-def apply_rtes(job: JobDescription, registry: Mapping[str, RteManifest]) -> tuple[str, ...]:
+def apply_rtes(job: JobDescription, registry: Mapping[str, tuple[str, ...]]) -> tuple[str, ...]:
     """Return the node properties of each RTE the job requests, in request order.
 
     Duplicate properties contributed by distinct RTEs are kept.  Raises
@@ -142,18 +103,19 @@ def apply_rtes(job: JobDescription, registry: Mapping[str, RteManifest]) -> tupl
     """
     properties: list[str] = []
     for name in job.runtime_environments:
-        manifest = registry.get(name)
-        if manifest is None:
+        node_properties = registry.get(name)
+        if node_properties is None:
             raise UnknownRte(name)
-        properties.extend(manifest.node_properties)
+        properties.extend(node_properties)
     return tuple(properties)
 
 
-def generate_submit_script(job: JobDescription, node_properties: tuple[str, ...] = ()) -> SubmitScript:
-    """Turn a job and the node properties of its RTEs into a batch script.
+def generate_submit_script(job: JobDescription, node_properties: tuple[str, ...] = ()) -> str:
+    """Turn a job and the node properties of its RTEs into the text of a batch script.
 
     Directive order: job name (when set), task count, output/error names
     (when set), then one directive per node property in application order.
+    A directive holding a line break is a :class:`ValueError`.
     """
     directives = []
     if job.job_name:
@@ -164,8 +126,13 @@ def generate_submit_script(job: JobDescription, node_properties: tuple[str, ...]
     if job.stderr_name:
         directives.append(f"#SBATCH --error={shlex.quote(job.stderr_name)}")
     directives.extend(f"#SBATCH {prop}" for prop in node_properties)
+    for directive in directives:
+        # sbatch stops reading directives at the first line that is not
+        # one, so a line break would silently drop every directive after it.
+        if "\n" in directive or "\r" in directive:
+            raise ValueError(f"directive must be a single line: {directive!r}")
     payload = " ".join(shlex.quote(token) for token in (job.executable, *job.arguments))
-    return SubmitScript(tuple(directives), payload)
+    return "\n".join(["#!/bin/bash", *directives, "", payload]) + "\n"
 
 
 def requested_gres(node_properties: Iterable[str]) -> GresList:
@@ -229,11 +196,11 @@ def _class_satisfies(node_class: GresList, want: GresEntry) -> bool:
 
 
 def write_spool_script(
-    script: SubmitScript,
+    script: str,
     spool_dir: str | Path,
     now: float | None = None,
 ) -> tuple[str, Path]:
-    """Write the rendered script to the spool directory as ``<jobid>.sbatch``.
+    """Write the text of a script to the spool directory as ``<jobid>.sbatch``.
 
     The job id derives from the clock and the script content, so a fixed
     clock gives deterministic ids; name collisions get a numeric suffix.
@@ -246,16 +213,15 @@ def write_spool_script(
 
     spool_dir = Path(spool_dir)
     spool_dir.mkdir(parents=True, exist_ok=True)
-    rendered = script.render()
     timestamp = int(time.time() if now is None else now)
-    digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()[:8]
+    digest = hashlib.sha256(script.encode("utf-8")).hexdigest()[:8]
     base_id = f"{timestamp}-{digest}"
     # The process and thread ids keep concurrent submissions of one script apart.
     temporary = spool_dir / f".{base_id}.{os.getpid()}.{_thread.get_ident()}.tmp"
     handle = temporary.open("x", encoding="utf-8")
     try:
         with handle:
-            handle.write(rendered)
+            handle.write(script)
         job_id = base_id
         attempt = 1
         while True:

@@ -27,6 +27,11 @@ from conftest import PREFIXED_LINES, RESOURCE_LINES, SINFO_BARE_LINES, answer_on
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
+def test_exit_codes_are_the_documented_ones():
+    # Every other test compares with these names, so their values are pinned here, as the README's table has them.
+    assert (EXIT_OK, EXIT_REFUSED, EXIT_INPUT, EXIT_ENV) == (0, 1, 2, 3)
+
+
 class TestMockSinfo:
     def test_bare_emits_listing(self, capsys):
         assert main(["mock-sinfo", "--bare"]) == EXIT_OK

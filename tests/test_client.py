@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from grespipe import _text, client
+from grespipe import _text, _wire, client
 from grespipe.client import (
     BadContentType,
     BadStatus,
@@ -709,6 +709,28 @@ class TestFetchInfo:
             with pytest.raises(FetchError) as excinfo:
                 fetch_info(url, timeout=2)
         assert type(excinfo.value) is expected, excinfo.value
+
+    @pytest.mark.parametrize(
+        "status_line", [b"HTTP/1.0 200 " + b"x" * 65536 + b"\r\n", b"HTTP/1.0 20 OK\r\n"], ids=["line-65551", "status-20"]
+    )
+    def test_status_line_refused_by_name(self, status_line):
+        with answer_once(status_line + b"Content-Type: application/xml\r\n\r\n<InfoRoot/>") as port:
+            url = f"http://127.0.0.1:{port}/info"
+            with pytest.raises(Unreachable) as excinfo:
+                fetch_info(url, timeout=2)
+        assert str(excinfo.value) == f"cannot fetch {url}: not an HTTP/1.x status line: {status_line[:80]!r}"
+
+    def test_url_without_a_port_connects_to_port_80(self, monkeypatch):
+        ports = []
+
+        def refuse(host, port, deadline):
+            ports.append(port)
+            raise ConnectionRefusedError("refused")
+
+        monkeypatch.setattr(_wire.DeadlineSocket, "connect_to", refuse)
+        with pytest.raises(Unreachable, match="refused"):
+            fetch_info("http://127.0.0.1/info")
+        assert ports == [80]
 
     @pytest.mark.parametrize("url", ["http://[::1/info", "http://::1]/info"], ids=["open-bracket", "close-bracket"])
     def test_url_that_cannot_be_split_is_refused_by_name(self, url):

@@ -97,6 +97,9 @@ class TestParse:
         with pytest.raises(EmptySegment) as excinfo:
             parse_gres_expression("gpu:1,,mps:1")
         assert excinfo.value.segment_index == 1
+        with pytest.raises(EmptySegment) as excinfo:
+            parse_gres_expression("gpu:1,,gpu:2")
+        assert str(excinfo.value) == "segment 1: empty segment"
 
     @pytest.mark.parametrize("form", ["gpu:{}", "gpu:k80:{}", "gpu:{}K"])
     def test_count_beyond_int_digit_limit_is_malformed(self, int_digits_limit, form):
@@ -165,8 +168,10 @@ class TestEntryInvariants:
         assert expand_count("1") == 1
         assert expand_count("1K") == 1024
         assert expand_count("16G") == 17179869184
-        with pytest.raises(ValueError):
-            expand_count("x")
+        # int() reads each of these as 4, but none is ASCII digits with an optional unit.
+        for literal in ["x", "+4", " 4", "4_0", "\u0664"]:
+            with pytest.raises(ValueError, match="not a count literal"):
+                expand_count(literal)
 
 
 class TestTotalCapacity:
@@ -338,6 +343,8 @@ def test_surely_parses_leaves_longer_lines_to_the_parser():
         ("gpu", ["gpu:1,gpu:2", "gpu:1", "gpu:1"], ["gpu:1,gpu:2", "gpu:1", "gpu:1"]),
         ("gpu:2", ["gpu\n", "gpu:2\n", "gpu:2"], ["gpu:2"]),
         ("gpu", [], []),
+        ("gpu:2", ["gpu", "gpu:3"], ["gpu:3"]),
+        ("gpu:v100:1", ["gpu:v100:+4", "gpu:v100: 4", "gpu:v100:4_0"], []),
     ],
 )
 def test_lines_satisfying(int_digits_limit, want, lines, yielded):

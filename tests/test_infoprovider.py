@@ -75,13 +75,14 @@ REQUEST_EDGE_CASES = dict(
         (b"GET /info HTTP/1.10\r\n\r\n", b"400"),
         # One empty line before the request line is skipped (RFC 9112 section 2.2).
         (b"\r\nGET /info HTTP/1.0\r\n\r\n", b"200"),
+        (b"\r\nGET /" + b"a" * 65536 + b" HTTP/1.0\r\n\r\n", b"414"),
         (b"GET //info HTTP/1.0\r\n\r\n", b"200"),
     ],
     ids=[
         "http-1.0", "http-1.1", "query", "bare-lf", "unknown-path", "absolute-form", "head", "post",
         "long-request-line", "request-line-65536", "header-65536", "long-header", "99-headers", "100-headers",
         "101-headers", "http-0.9", "hello", "http-1.x", "http-2.0", "http-1.2", "http-3.0", "http-01.0",
-        "http-1.10", "leading-crlf", "double-slash",
+        "http-1.10", "leading-crlf", "leading-crlf-long-request-line", "double-slash",
     ],
 )
 
@@ -127,9 +128,12 @@ class TestSiteConfig:
             "127.0.0.1:٨٠٧٠",
             "127.0.0.1: 8_070",
             "127.0.0.1:" + "9" * 5000,
+            "127.0.0.1:65536",
+            ":8070",
         ]:
             with pytest.raises(BadConfig):
                 split_bind(bind)
+        assert split_bind("127.0.0.1:65535") == ("127.0.0.1", 65535)
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "site.conf"
@@ -142,6 +146,11 @@ class TestSiteConfig:
         with pytest.raises(BadConfig) as raised:
             SiteConfig.from_file(path)
         assert str(raised.value) == f"{path}:2: unknown key 'colour'"
+
+    def test_bind_from_file(self, tmp_path):
+        path = tmp_path / "site.conf"
+        path.write_text("admin_domain = x\nservice_id = y\nmanager_name = z\nbind = 0.0.0.0:9\n")
+        assert SiteConfig.from_file(path).bind == "0.0.0.0:9"
 
 
 class TestBuildComputingService:
@@ -547,6 +556,11 @@ class TestServeInfo:
         assert answer.startswith(b"HTTP/1.0 " + status + b" "), answer[:200]
         assert elapsed < 1.0
 
+    def test_a_client_that_sends_nothing_gets_nothing(self, served):
+        with socket.create_connection(served[0].server_address[:2], timeout=5) as client:
+            client.shutdown(socket.SHUT_WR)
+            assert client.recv(65536) == b""
+
     def test_answer_is_decided_from_the_lines_read_and_a_given_time(self, served, monkeypatch):
         server, document = served
         now = 784111777  # the example date of RFC 9110 section 5.6.7
@@ -562,7 +576,7 @@ class TestServeInfo:
 
         monkeypatch.setattr(time, "time", no_clock)
         for case, (request_bytes, status) in zip(REQUEST_EDGE_CASES["ids"], REQUEST_EDGE_CASES["argvalues"]):
-            if case == "leading-crlf":  # the empty line before a request line is skipped by the reader, not here
+            if case.startswith("leading-crlf"):  # the empty line before a request line is skipped by the reader, not here
                 continue
             stream = io.BytesIO(request_bytes)  # read as the workers read a connection
             lines = [stream.readline(MAX_LINE_BYTES + 1)]

@@ -24,9 +24,7 @@ from grespipe.infoprovider import (
     render_glue2_xml,
 )
 from grespipe.jobsubmit import (
-    RteManifest,
     RteManifestError,
-    SubmitScript,
     UnknownRte,
     advertised_gres,
     apply_rtes,
@@ -46,9 +44,7 @@ KEBNEKAISE_ADVERTISED = [parse_gres_expression(line) for line in RESOURCE_LINES]
 
 class TestManifests:
     def test_shipped_kgpu6(self):
-        manifest = load_rte_manifest(data.RTE_DIR / "KGPU6.rte")
-        assert manifest.name == "KGPU6"
-        assert manifest.node_properties == ("--gres=gpu:k80:1",)
+        assert load_rte_manifest(data.RTE_DIR / "KGPU6.rte") == ("--gres=gpu:k80:1",)
 
     def test_multiple_properties_in_order(self, tmp_path):
         path = tmp_path / "MULTI.rte"
@@ -57,8 +53,7 @@ class TestManifests:
             "node_properties = --gres=gpu:2\n"
             "node_properties = --constraint=nvme\n"
         )
-        manifest = load_rte_manifest(path)
-        assert manifest.node_properties == ("--gres=gpu:2", "--constraint=nvme")
+        assert load_rte_manifest(path) == ("--gres=gpu:2", "--constraint=nvme")
 
     def test_missing_name(self, tmp_path):
         path = tmp_path / "anon.rte"
@@ -78,8 +73,9 @@ class TestManifests:
         with pytest.raises(RteManifestError):
             load_rte_manifest(path)
         path.write_text("name = X\nnode_properties --exclusive\n")  # no '='
-        with pytest.raises(RteManifestError):
+        with pytest.raises(RteManifestError) as raised:
             load_rte_manifest(path)
+        assert str(raised.value) == f"{path}:2: expected key = value"
 
     def test_unknown_key_message(self, tmp_path):
         path = tmp_path / "bad.rte"
@@ -103,7 +99,7 @@ class TestManifests:
         (tmp_path / "C.rte").write_bytes(b"\xff\xfe no key = value here\n")  # malformed, and not named
         (tmp_path / "notes.txt").write_text("ignored")
         registry = load_rte_registry(tmp_path, ["B", "A", "B"])
-        assert registry == {"B": RteManifest("B", ("--mem=1G",)), "A": RteManifest("A", ("--gres=gpu:1",))}
+        assert registry == {"B": ("--mem=1G",), "A": ("--gres=gpu:1",)}
         assert list(registry) == ["B", "A"]
         assert load_rte_registry(tmp_path, ()) == {}
 
@@ -169,7 +165,7 @@ class TestRteLookup:
         assert script.count("#SBATCH --x=R07\n") == 2
 
     @pytest.mark.parametrize(
-        "name", ["../KGPU6", "a/b", "", "{tmp}/KGPU6"], ids=["parent", "slash", "empty", "absolute"]
+        "name", ["../KGPU6", "a/b", "", "{tmp}/KGPU6", "bad name"], ids=["parent", "slash", "empty", "absolute", "space"]
     )
     def test_a_name_that_could_leave_the_directory_is_unknown_and_opens_nothing(self, name, tmp_path, opened, capsys):
         rte_dir = tmp_path / "rtes"
@@ -199,7 +195,7 @@ class TestRteLookup:
 class TestApplyRtes:
     def test_single_rte(self):
         job = JobDescription("hello.sh", runtime_environments=("KGPU6",))
-        registry = {"KGPU6": RteManifest("KGPU6", ("--gres=gpu:k80:1",))}
+        registry = {"KGPU6": ("--gres=gpu:k80:1",)}
         assert apply_rtes(job, registry) == ("--gres=gpu:k80:1",)
 
     def test_no_rtes(self):
@@ -213,16 +209,16 @@ class TestApplyRtes:
 
     def test_application_order_and_duplicates(self):
         registry = {
-            "A": RteManifest("A", ("--gres=gpu:1", "--x=1")),
-            "B": RteManifest("B", ("--gres=gpu:1",)),
+            "A": ("--gres=gpu:1", "--x=1"),
+            "B": ("--gres=gpu:1",),
         }
         job = JobDescription("a", runtime_environments=("B", "A", "B"))
         assert apply_rtes(job, registry) == ("--gres=gpu:1", "--gres=gpu:1", "--x=1", "--gres=gpu:1")
 
     def test_concatenation_associativity(self):
         registry = {
-            "A": RteManifest("A", ("--a=1",)),
-            "B": RteManifest("B", ("--b=1", "--b=2")),
+            "A": ("--a=1",),
+            "B": ("--b=1", "--b=2"),
         }
         together = apply_rtes(JobDescription("x", runtime_environments=("A", "B")), registry)
         first = apply_rtes(JobDescription("x", runtime_environments=("A",)), registry)
@@ -235,9 +231,7 @@ class TestGenerateScript:
         job = parse_xrsl(data.HELLO_XRSL.read_text())
         registry = load_rte_registry(data.RTE_DIR, job.runtime_environments)
         script = generate_submit_script(job, apply_rtes(job, registry))
-        assert "#SBATCH --gres=gpu:k80:1" in script.directives
-        rendered = script.render()
-        assert rendered.splitlines() == [
+        assert script.splitlines() == [
             "#!/bin/bash",
             "#SBATCH --job-name=gpu-hello",
             "#SBATCH --ntasks=1",
@@ -249,26 +243,24 @@ class TestGenerateScript:
         ]
 
     def test_minimal_job(self):
-        script = generate_submit_script(JobDescription("a"))
-        assert script.directives == ("#SBATCH --ntasks=1",)
+        assert generate_submit_script(JobDescription("a")) == "#!/bin/bash\n#SBATCH --ntasks=1\n\na\n"
 
     def test_property_directives_in_application_order(self):
         registry = {
-            "ONE": RteManifest("ONE", ("--gres=gpu:k80:1",)),
-            "TWO": RteManifest("TWO", ("--gres=hbm:4G",)),
+            "ONE": ("--gres=gpu:k80:1",),
+            "TWO": ("--gres=hbm:4G",),
         }
         job = JobDescription("a", runtime_environments=("TWO", "ONE"))
         script = generate_submit_script(job, apply_rtes(job, registry))
-        property_lines = [d for d in script.directives if "--gres=" in d]
+        property_lines = [line for line in script.splitlines() if "--gres=" in line]
         assert property_lines == ["#SBATCH --gres=hbm:4G", "#SBATCH --gres=gpu:k80:1"]
         assert len(property_lines) == sum(
-            len(registry[name].node_properties) for name in job.runtime_environments
+            len(registry[name]) for name in job.runtime_environments
         )
 
     def test_every_property_appears_exactly_once_before_payload(self):
         node_properties = ("--gres=gpu:2", "--x=y")
-        script = generate_submit_script(JobDescription("run", ("in.dat",)), node_properties)
-        rendered = script.render()
+        rendered = generate_submit_script(JobDescription("run", ("in.dat",)), node_properties)
         for prop in node_properties:
             assert rendered.count(f"#SBATCH {prop}") == 1
         directive_part, _, payload_part = rendered.partition("\n\n")
@@ -277,16 +269,12 @@ class TestGenerateScript:
 
     def test_payload_is_shell_quoted(self):
         script = generate_submit_script(JobDescription("my app", ("a b", "plain")))
-        assert script.payload == "'my app' 'a b' plain"
-
-    def test_directive_prefix_enforced(self):
-        with pytest.raises(ValueError):
-            SubmitScript(("--gres=gpu:1",), "payload")
+        assert script.endswith("\n\n'my app' 'a b' plain\n")
 
     @pytest.mark.parametrize("line_break", ["\n", "\r"])
     def test_directive_line_break_rejected(self, line_break):
         with pytest.raises(ValueError, match="directive must be a single line"):
-            SubmitScript((f"#SBATCH --job-name=x{line_break}echo INJECTED #", "#SBATCH --ntasks=1"), "a")
+            generate_submit_script(JobDescription("a"), (f"--x=1{line_break}echo INJECTED #", "--y=1"))
 
     @pytest.mark.parametrize("field", ["job_name", "stdout_name", "stderr_name"])
     def test_line_break_in_job_field_rejected(self, field):
@@ -516,7 +504,7 @@ class TestSpool:
         script = generate_submit_script(JobDescription("a"))
         job_id, path = write_spool_script(script, tmp_path / "spool", now=1000)
         assert path.name == f"{job_id}.sbatch"
-        assert path.read_text() == script.render()
+        assert path.read_text() == script
 
     def test_deterministic_id_for_fixed_clock(self, tmp_path):
         script = generate_submit_script(JobDescription("a"))

@@ -8,10 +8,12 @@ import importlib
 import pickle
 import pkgutil
 import threading
+from pathlib import Path
 
 import pytest
 
 import grespipe
+from grespipe import data
 from grespipe._record import Record
 from grespipe.gres import GresEntry, GresList, MalformedCount
 from grespipe.infoprovider import (
@@ -21,7 +23,13 @@ from grespipe.infoprovider import (
     SiteConfig,
     render_glue2_xml,
 )
-from grespipe.jobsubmit import RteManifest, SubmitScript
+from grespipe.jobsubmit import (
+    RteManifestError,
+    UnknownRte,
+    generate_submit_script,
+    load_rte_manifest,
+    load_rte_registry,
+)
 from grespipe.lrms import ClusterFixture, ClusterSnapshot, InvalidFixture, NodeClass
 from grespipe.xrsl import JobDescription
 
@@ -69,16 +77,6 @@ RECORDS = {
         ("admin_domain", "service_id", "manager"),
         "ComputingServiceRecord(admin_domain='hpc2n.umu.se', service_id='kebnekaise-ce', "
         "manager=ComputingManagerRecord(manager_name='slurm', general_resources=()))",
-    ),
-    "RteManifest": (
-        lambda: RteManifest("KGPU6", ("--gres=gpu:k80:1",)),
-        ("name", "node_properties"),
-        "RteManifest(name='KGPU6', node_properties=('--gres=gpu:k80:1',))",
-    ),
-    "SubmitScript": (
-        lambda: SubmitScript(("#SBATCH --ntasks=1",), "hello.sh"),
-        ("directives", "payload"),
-        "SubmitScript(directives=('#SBATCH --ntasks=1',), payload='hello.sh')",
     ),
     "JobDescription": (
         lambda: JobDescription("hello.sh", ("-v",), "gpu-hello", 2, ("KGPU6",), "out.txt", "err.txt"),
@@ -149,10 +147,12 @@ def test_record_replace_changes_only_the_fields_named_and_checks_again():
 
 
 def test_records_of_two_classes_with_the_same_values_differ():
-    manifest = RteManifest("KGPU6", ("--gres=gpu:k80:1",))
-    manager = ComputingManagerRecord("KGPU6", ("--gres=gpu:k80:1",))
-    assert (manifest.name, manifest.node_properties) == (manager.manager_name, manager.general_resources)
-    assert manifest != manager and manager != manifest
+    node_class = NodeClass("a", "b", "c")
+    service = ComputingServiceRecord("a", "b", "c")
+    assert (node_class.partition, node_class.node_count, node_class.gres_line) == (
+        service.admin_domain, service.service_id, service.manager
+    )
+    assert node_class != service and service != node_class
 
 
 def test_record_repr(record):
@@ -185,6 +185,12 @@ def test_record_copies_and_pickles(record):
         assert repr(copied) == repr(built)
 
 
+def _load_manifest(text: str) -> tuple[str, ...]:
+    # X.rte in the working directory, so the refusal's path does not vary
+    Path("X.rte").write_text(text)
+    return load_rte_manifest("X.rte")
+
+
 @pytest.mark.parametrize(
     "make, error, message",
     [
@@ -202,13 +208,12 @@ def test_record_copies_and_pickles(record):
          "partition 'mps': bad gres line 'gpu:': segment 0: empty field in 'gpu:'"),
         (lambda: ClusterSnapshot("c", ("gpu:1", "(null)", ""), 0), ValueError, "snapshot must not contain '(null)'"),
         (lambda: ClusterSnapshot("c", ("", "(null)"), 0), ValueError, "snapshot must not contain ''"),
-        (lambda: RteManifest("bad name", ("",)), ValueError, "bad RTE name: 'bad name'"),
-        (lambda: RteManifest("KGPU6", ("--a", "x\ny")), ValueError,
-         "node property must be a non-empty single line: 'x\\ny'"),
-        (lambda: RteManifest("KGPU6", ("",)), ValueError, "node property must be a non-empty single line: ''"),
-        (lambda: SubmitScript(("#SBATCH --a", "--b\n"), "x"), ValueError,
-         "directive must start with '#SBATCH ': '--b\\n'"),
-        (lambda: SubmitScript(("#SBATCH --a\n#SBATCH --b",), "x"), ValueError,
+        (lambda: load_rte_registry(data.RTE_DIR, ["bad name"]), UnknownRte, "unknown runtime environment: bad name"),
+        (lambda: _load_manifest("name = X\nnode_properties = --a\rx\n"), RteManifestError,
+         "X.rte:3: expected key = value"),
+        (lambda: _load_manifest("name = X\nnode_properties =\n"), RteManifestError,
+         "X.rte:2: empty value for 'node_properties'"),
+        (lambda: generate_submit_script(JobDescription("x"), ("--a\n#SBATCH --b",)), ValueError,
          "directive must be a single line: '#SBATCH --a\\n#SBATCH --b'"),
         (lambda: JobDescription("", count=0), ValueError, "executable must be non-empty"),
         (lambda: JobDescription("x", count=0), ValueError, "count must be at least 1"),
@@ -224,11 +229,12 @@ def test_record_copies_and_pickles(record):
     ids=[
         "entry-count", "entry-empty", "entry-grammar", "fixture-empty", "fixture-partition", "fixture-count",
         "fixture-gres", "snapshot-null", "snapshot-empty", "rte-name",
-        "rte-newline", "rte-empty", "script-prefix", "script-newline", "job-executable",
+        "rte-newline", "rte-empty", "script-newline", "job-executable",
         "job-count", "site-keys", "site-interval", "site-bind", "manager-name", "manager-name-render",
     ],
 )
-def test_construction_refusals(make, error, message):
+def test_construction_refusals(make, error, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where _load_manifest writes its file
     with pytest.raises(error) as raised:
         make()
     assert type(raised.value) is error

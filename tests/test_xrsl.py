@@ -47,6 +47,7 @@ class TestParse:
         assert job.stdout_name is None and job.stderr_name is None
 
     def test_bare_word_values(self):
+        assert parse_xrsl('&(executable=run.sh)(count="1")').count == 1
         job = parse_xrsl("&(executable=run.sh)(count=4)")
         assert job.executable == "run.sh"
         assert job.count == 4
@@ -73,6 +74,9 @@ class TestParse:
     def test_comments_skipped(self):
         job = parse_xrsl('(* top *) &(executable="a") (* between *) (jobName="x")')
         assert job.job_name == "x"
+        # A comment with no space around it, and one that is only its delimiters.
+        for text in ("&(**)(executable=a)", "&(* c *)(executable=a)"):
+            assert parse_xrsl(text).executable == "a"
 
     def test_whitespace_and_newlines(self):
         job = parse_xrsl('&(executable="a")\n (jobName="x")\n\t(count=2)\n')
